@@ -1,6 +1,7 @@
 """Tests for the standalone experiment runner CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,19 +16,25 @@ from repro.obs import bounds
 from repro.obs.bounds import BoundSpec
 from repro.obs.report import aggregate_spans, load_events, metric_totals
 
+#: ``run_all --no-telemetry`` stdout; regenerate with
+#: ``PYTHONPATH=src python -m repro.experiments.run_all --no-telemetry``.
+GOLDEN = Path(__file__).with_name("golden") / "run_all_no_telemetry.txt"
+
 
 class TestRegistry:
     def test_all_nine_experiments_registered(self):
         assert sorted(REGISTRY) == [f"e{i}" for i in range(1, 10)]
 
-    def test_each_experiment_returns_tables(self):
-        # The cheap ones run here; the full set runs via benchmarks.
-        for key in ("e5", "e6", "e7", "e8"):
-            tables = REGISTRY[key]()
-            assert tables
-            for table in tables:
-                assert table.rows
-                assert table.render()
+    def test_each_experiment_returns_tables(self, capsys):
+        # E1-E9 plus the bound certification, byte for byte against the
+        # committed golden.  The output is backend- and jobs-invariant,
+        # so the CI kernels matrix running this under REPRO_KERNELS=python
+        # and native also certifies python/native agreement table by table.
+        assert main(["--no-telemetry"]) == 0
+        out = capsys.readouterr().out
+        for key in REGISTRY:
+            assert f"== {key.upper()}" in out
+        assert out.encode() == GOLDEN.read_bytes()
 
 
 class TestCli:
