@@ -282,11 +282,10 @@ max-flow over flat arc arrays, Karger–Stein edge contraction over an
 array union-find, and Lemma 3.2 Hadamard row products / decoding.
 Selection order is `--kernels {auto,python,native}` on
 `run_all` (installed via `select_backend`) → the `REPRO_KERNELS`
-environment variable → `auto`.  `auto` probes the native chain (numba
-JIT first, then a C library compiled on demand into
-`REPRO_KERNELS_CACHE`, default `~/.cache/repro-kernels`; pin one stage
-with `REPRO_KERNELS_NATIVE={numba,cc}`) and **degrades silently to the
-python reference** when no toolchain exists; an *explicit* `native`
+environment variable → `auto`.  `auto` loads the native backend (a C
+library compiled on demand into `REPRO_KERNELS_CACHE`, default
+`~/.cache/repro-kernels`) and **degrades silently to the python
+reference** when no C compiler exists; an *explicit* `native`
 selection raises `KernelUnavailableError` instead (`run_all` exits 4).
 
 The parity guarantee is bit-identity, not approximation: native

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.distributed.server import Server
 from repro.errors import ParameterError
@@ -56,16 +56,28 @@ class DistributedMinCutResult:
         return self.sketch_bits + self.query_bits
 
 
-def _union_of_sketches(
+def _ship_sketches(
     servers: Sequence[Server], epsilon: float, rng, sampling_constant: Optional[float] = None
-) -> UGraph:
-    """Ship one sparsifier per server and union them (bits counted by caller)."""
+) -> Tuple[UGraph, int]:
+    """Ship one sparsifier per server; returns ``(union, shipped_bits)``.
+
+    Each shard's sketch is built once, and that same sketch is priced,
+    recorded as the ``distributed.ship`` wire event and unioned.
+    """
     union = UGraph()
+    bits = 0
     for server, child in zip(servers, spawn_rngs(rng, len(servers))):
         sketch = server.forall_sketch(
             epsilon, rng=child, sampling_constant=sampling_constant
         )
-        sparse = sketch.sparse_graph
+        shipped = sketch.size_bits()
+        bits += shipped
+        if _OBS.enabled:
+            _capture.record(
+                server.name, "coordinator", "distributed.ship",
+                int(shipped), payload=sketch.sparse,
+            )
+        sparse = sketch.sparse
         for node in sparse.nodes():
             union.add_node(node)
         seen = set()
@@ -78,28 +90,7 @@ def _union_of_sketches(
             # back into a single undirected edge.
             undirected = (w + sparse.weight(v, u)) / 2.0
             union.add_edge(u, v, undirected, combine="add")
-    return union
-
-
-def _shipped_bits(
-    servers: Sequence[Server], epsilon: float, rng, sampling_constant: Optional[float] = None
-) -> int:
-    bits = 0
-    for server, child in zip(servers, spawn_rngs(rng, len(servers))):
-        sketch = server.forall_sketch(
-            epsilon, rng=child, sampling_constant=sampling_constant
-        )
-        shipped = sketch.size_bits()
-        bits += shipped
-        if _OBS.enabled:
-            # This accounting pass is the single source of truth for
-            # shipped bits, so the wire event is recorded here (and not
-            # in _union_of_sketches, which rebuilds sketches).
-            _capture.record(
-                server.name, "coordinator", "distributed.ship",
-                int(shipped), payload=sketch.sparse,
-            )
-    return bits
+    return union, bits
 
 
 def distributed_min_cut(
@@ -120,12 +111,13 @@ def distributed_min_cut(
     gen = ensure_rng(rng)
 
     if strategy == "forall_only":
-        ship_rng, union_rng = spawn_rngs(gen, 2)
+        ship_rng, _ = spawn_rngs(gen, 2)
         with _obs_span(
             "distributed.ship", strategy=strategy, servers=len(servers)
         ):
-            sketch_bits = _shipped_bits(servers, epsilon, ship_rng, sampling_constant)
-            union = _union_of_sketches(servers, epsilon, ship_rng, sampling_constant)
+            union, sketch_bits = _ship_sketches(
+                servers, epsilon, ship_rng, sampling_constant
+            )
         if _OBS.enabled:
             _obs_count("distributed.sketch_bits", sketch_bits)
         with _obs_span("distributed.mincut", strategy=strategy):
@@ -144,10 +136,7 @@ def distributed_min_cut(
     with _obs_span(
         "distributed.ship", strategy="hybrid", servers=len(servers)
     ):
-        sketch_bits = _shipped_bits(
-            servers, HYBRID_SKETCH_ACCURACY, ship_rng, sampling_constant
-        )
-        union = _union_of_sketches(
+        union, sketch_bits = _ship_sketches(
             servers, HYBRID_SKETCH_ACCURACY, ship_rng, sampling_constant
         )
     if _OBS.enabled:

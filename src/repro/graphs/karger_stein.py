@@ -1,31 +1,33 @@
-"""Karger–Stein recursive contraction for global min cut.
+"""Karger contraction: the one engine behind every randomized min cut.
 
-Plain Karger contraction needs ``Theta(n^2 log n)`` runs for high
-confidence; Karger–Stein contracts only down to ``n/sqrt(2) + 1``
-before *branching into two independent recursions*, pushing the success
-probability of one tree to ``Omega(1/log n)`` and the total work to
-``O(n^2 log^3 n)``.  Included as the third independent min-cut engine
-(the suite cross-checks it against Stoer–Wagner and enumeration) and as
-the candidate-cut sampler the distributed coordinator can use at larger
-scales than repeated plain contraction.
+Plain Karger contraction (:func:`contraction_cuts`) contracts random
+weighted edges down to two super-nodes; it backs
+:func:`repro.graphs.mincut.karger_min_cut` and the distributed
+coordinator's near-minimum cut sampler
+(:func:`repro.graphs.mincut.sample_near_min_cuts`).  It needs
+``Theta(n^2 log n)`` runs for high confidence; Karger–Stein
+(:func:`karger_stein_min_cut`) contracts only down to
+``n/sqrt(2) + 1`` before *branching into two independent recursions*,
+pushing the success probability of one tree to ``Omega(1/log n)`` and
+the total work to ``O(n^2 log^3 n)``.  The suite cross-checks both
+against Stoer–Wagner and enumeration.
 
 Implementation: the graph is flattened once into immutable edge arrays
 (``tails``/``heads``/``weights``); a contraction state is nothing but a
 union-find ``parent`` vector, so cloning a branch is one ``ndarray.copy``
-instead of the deep adjacency-dict copy the original implementation
-paid per branch, and no per-step edge-list materialization happens at
-all.  The contraction pass itself runs through the runtime-selected
-kernel backend (:mod:`repro.kernels`): uniforms are pre-drawn on the
-Python side — one per contraction step — so python and native backends
-consume an identical RNG stream and produce identical cuts per seed
-(pinned by ``tests/graphs/test_karger_kernel_regression.py``).
+and no per-step edge-list materialization happens at all.  The
+contraction pass itself runs through the runtime-selected kernel backend
+(:mod:`repro.kernels`): uniforms are pre-drawn on the Python side — one
+per contraction step — so python and native backends consume an
+identical RNG stream and produce identical cuts per seed (pinned by
+``tests/graphs/test_karger_kernel_regression.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,19 +90,47 @@ def _cut_of_two(
     return value, side
 
 
+def _plain_runs(
+    parent: np.ndarray, size: int, runs: int, arrays: _EdgeArrays, gen, backend
+) -> Iterator[Tuple[float, FrozenSet[Node]]]:
+    """Cuts of ``runs`` independent contractions of ``parent`` to two.
+
+    A run that stops above two super-nodes (no crossing weight left:
+    the graph is disconnected) is skipped.
+    """
+    for _ in range(runs):
+        trial = parent.copy()
+        if _contract(trial, size, 2, arrays, gen, backend) == 2:
+            yield _cut_of_two(trial, arrays)
+
+
+def contraction_cuts(
+    graph: UGraph, runs: int, gen
+) -> Iterator[Tuple[float, FrozenSet[Node]]]:
+    """Plain Karger: ``(value, side)`` of each of ``runs`` contractions.
+
+    Each side contains ``graph.nodes()[0]``; runs that cannot reach two
+    super-nodes are skipped.
+    """
+    from repro.kernels import get_backend, mark_use
+
+    arrays = _EdgeArrays.from_graph(graph)
+    backend = get_backend()
+    mark_use(backend)
+    n = graph.num_nodes
+    return _plain_runs(np.arange(n, dtype=np.int64), n, runs, arrays, gen, backend)
+
+
 def _recurse(
     parent: np.ndarray, size: int, arrays: _EdgeArrays, gen, backend
 ) -> Tuple[float, FrozenSet[Node]]:
     if size <= 6:
         # Base case: finish with repeated plain contraction.
-        best: Optional[Tuple[float, FrozenSet[Node]]] = None
-        for _ in range(size * size):
-            trial = parent.copy()
-            if _contract(trial, size, 2, arrays, gen, backend) != 2:
-                continue
-            candidate = _cut_of_two(trial, arrays)
-            if best is None or candidate[0] < best[0]:
-                best = candidate
+        best = min(
+            _plain_runs(parent, size, size * size, arrays, gen, backend),
+            key=lambda item: item[0],
+            default=None,
+        )
         if best is None:
             raise GraphError("graph is disconnected")
         return best

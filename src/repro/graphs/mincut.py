@@ -1,14 +1,14 @@
 """Global minimum cut algorithms.
 
-Three independent implementations, used to cross-check one another:
-
 * :func:`stoer_wagner` — deterministic ``O(n m + n^2 log n)`` global min
   cut for undirected weighted graphs.  This is the reference algorithm
   behind Lemma 5.5's ``MINCUT(G_{x,y}) = 2 INT(x, y)`` experiments.
 * :func:`karger_min_cut` — Monte-Carlo contraction; also used to *sample*
   near-minimum cuts for the distributed min-cut application (the paper's
   Section 1 observation that there are at most ``n^{O(C)}`` cuts within a
-  factor ``C`` of minimum).
+  factor ``C`` of minimum).  Both run on the array-based contraction
+  engine of :mod:`repro.graphs.karger_stein`, cross-checked against
+  Stoer–Wagner by the suite.
 * :func:`directed_global_min_cut` — ``2(n-1)`` max-flow calls; the exact
   reference for directed constructions.
 """
@@ -16,10 +16,11 @@ Three independent implementations, used to cross-check one another:
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph, Node
+from repro.graphs.karger_stein import contraction_cuts
 from repro.graphs.maxflow import max_flow
 from repro.graphs.ugraph import UGraph
 from repro.utils.rng import RngLike, ensure_rng
@@ -102,55 +103,16 @@ def karger_min_cut(
         return 0.0, frozenset(graph.connected_components()[0])
     if trials is None:
         trials = max(1, int(math.ceil(n * n * max(1.0, math.log(n)))))
-    gen = ensure_rng(rng)
-    best_value = math.inf
-    best_side: FrozenSet[Node] = frozenset()
-    for _ in range(trials):
-        value, side = _one_contraction_run(graph, gen)
-        if value < best_value:
-            best_value = value
-            best_side = side
-    return best_value, best_side
-
-
-def _one_contraction_run(graph: UGraph, gen) -> Tuple[float, FrozenSet[Node]]:
-    """A single Karger contraction down to two super nodes."""
-    adj: Dict[Node, Dict[Node, float]] = {
-        u: dict(graph.neighbors(u)) for u in graph.nodes()
-    }
-    groups: Dict[Node, Set[Node]] = {u: {u} for u in graph.nodes()}
-    while len(adj) > 2:
-        edges: List[Tuple[Node, Node, float]] = []
-        seen: Set[FrozenSet[Node]] = set()
-        for u, nbrs in adj.items():
-            for v, w in nbrs.items():
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((u, v, w))
-        total = sum(w for _, _, w in edges)
-        pick = gen.uniform(0.0, total)
-        acc = 0.0
-        chosen = edges[-1]
-        for edge in edges:
-            acc += edge[2]
-            if pick <= acc:
-                chosen = edge
-                break
-        u, v, _ = chosen
-        groups[u] |= groups[v]
-        for nbr, w in adj[v].items():
-            if nbr == u:
-                continue
-            adj[u][nbr] = adj[u].get(nbr, 0.0) + w
-            adj[nbr][u] = adj[u][nbr]
-            del adj[nbr][v]
-        if v in adj[u]:
-            del adj[u][v]
-        del adj[v]
-    (a, nbrs_a) = next(iter(adj.items()))
-    value = sum(nbrs_a.values())
-    return value, frozenset(groups[a])
+    best = min(
+        contraction_cuts(graph, trials, ensure_rng(rng)),
+        key=lambda item: item[0],
+        default=None,
+    )
+    if best is None:
+        # Only zero-weight edges hold the graph together: every run
+        # stalled above two super-nodes, and Stoer–Wagner finds the 0 cut.
+        return stoer_wagner(graph)
+    return best
 
 
 def sample_near_min_cuts(
@@ -165,31 +127,20 @@ def sample_near_min_cuts(
     for-all sketch identifies the regime, and repeated contraction (which
     finds any ``alpha``-near-minimum cut with probability
     ``n^{-O(alpha)}``) enumerates candidate cuts that are then re-scored
-    with for-each queries.
+    with for-each queries.  The Stoer–Wagner minimum is always included.
     """
     if factor < 1.0:
         raise GraphError("factor must be >= 1")
     base_value, base_side = stoer_wagner(graph)
-    gen = ensure_rng(rng)
     found: Dict[FrozenSet[Node], float] = {base_side: base_value}
     threshold = factor * base_value if base_value > 0 else 0.0
-    for _ in range(attempts):
-        value, side = _one_contraction_run(graph, gen)
-        canonical = _canonical_side(graph, side)
-        if value <= threshold and canonical not in found:
-            found[canonical] = value
+    # Contraction sides already contain nodes()[0], the canonical anchor.
+    for value, side in contraction_cuts(graph, attempts, ensure_rng(rng)):
+        if value <= threshold and side not in found:
+            found[side] = value
     return sorted(
         ((value, side) for side, value in found.items()), key=lambda item: item[0]
     )
-
-
-def _canonical_side(graph: UGraph, side: FrozenSet[Node]) -> FrozenSet[Node]:
-    """Pick a canonical representative of {S, V\\S} for dedup."""
-    nodes = graph.nodes()
-    anchor = nodes[0]
-    if anchor in side:
-        return frozenset(side)
-    return frozenset(set(nodes) - set(side))
 
 
 def directed_global_min_cut(graph: DiGraph) -> Tuple[float, FrozenSet[Node]]:

@@ -13,13 +13,9 @@ loop) with two interchangeable implementations:
   truth: every other backend must reproduce its outputs bit for bit on
   the integer-weighted constructions the reproduction runs on (the
   parity suite in ``tests/kernels`` enforces this).
-* the **native** backend (:mod:`repro.kernels.native`) — a compiled
-  implementation of the same algorithms, resolved at import time from
-  whichever toolchain the machine offers: ``numba`` ``@njit`` kernels
-  when numba is importable, otherwise a small C library compiled on
-  demand with the system C compiler and loaded through :mod:`ctypes`.
-  A Cython / prebuilt C-extension backend can slot into the same
-  loader chain later without touching any call site.
+* the **native** backend (:mod:`repro.kernels.native_cc`) — the same
+  algorithms as a small C library, compiled on demand with the system
+  C compiler and loaded through :mod:`ctypes`.
 
 Selection is runtime-configurable and always degrades gracefully::
 
@@ -27,7 +23,7 @@ Selection is runtime-configurable and always degrades gracefully::
     REPRO_KERNELS={auto,python,native}  # environment variable
     auto                                # default: native if available
 
-``auto`` silently falls back to ``python`` when no native toolchain is
+``auto`` silently falls back to ``python`` when no C compiler is
 available; an *explicit* ``native`` request on a machine with no
 toolchain raises :class:`~repro.kernels.registry.KernelUnavailableError`
 instead of silently running slow.  Every dispatch through the registry

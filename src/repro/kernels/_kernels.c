@@ -5,8 +5,7 @@
  * identical floating-point accumulation order, identical union-find
  * rule.  That mirroring is a hard contract — the parity suite asserts
  * bit-identical flows, cuts, and codewords against the reference — so
- * any change here must be made in lockstep with reference.py (and with
- * native_numba.py, the numba rendering of the same algorithms).
+ * any change here must be made in lockstep with reference.py.
  *
  * Built on demand by repro/kernels/native_cc.py:
  *     cc -O3 -fPIC -shared -o repro_kernels_<hash>.so _kernels.c

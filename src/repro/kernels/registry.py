@@ -41,10 +41,9 @@ class KernelBackend:
     """One implementation of the kernel interface.
 
     ``name`` is the selection name (``python`` / ``native``); ``source``
-    records which toolchain actually backs it (``python``, ``numba``,
-    or ``cc``) — the distinction shows up in telemetry and
-    ``BENCH_PR6.json`` so a run is attributable to the exact code that
-    produced it.  The callable slots share the flat-array calling
+    records which toolchain actually backs it (``python`` or ``cc``) —
+    it shows up in telemetry and ``BENCH_PR6.json`` so a run is
+    attributable to the exact code that produced it.  The callable slots share the flat-array calling
     convention documented in :mod:`repro.kernels.reference`.
     """
 
@@ -88,9 +87,9 @@ def _native_backend() -> Optional[KernelBackend]:
     if _NATIVE_FAILURE is not None:
         return None
     try:
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
-        backend = native.load_native()
+        backend = native_cc.load()
     except KernelUnavailableError as exc:
         _NATIVE_FAILURE = str(exc)
         return None

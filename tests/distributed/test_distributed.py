@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro import obs
+from repro.distributed import coordinator
 from repro.distributed.coordinator import distributed_min_cut
 from repro.distributed.server import Server, partition_edges, quantize_relative
 from repro.errors import ParameterError
 from repro.graphs.generators import random_regularish_ugraph
 from repro.graphs.mincut import stoer_wagner
 from repro.graphs.ugraph import UGraph
+from repro.obs.capture import capturing
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +130,82 @@ class TestCoordinator:
         coarse = distributed_min_cut(servers, epsilon=0.5, strategy="hybrid", rng=6)
         fine = distributed_min_cut(servers, epsilon=0.01, strategy="hybrid", rng=6)
         assert fine.query_bits >= coarse.query_bits
+
+
+class CountingServer(Server):
+    """A :class:`Server` that keeps every sketch it hands out."""
+
+    def __init__(self, name, shard):
+        super().__init__(name, shard)
+        self.sketches = []
+
+    def forall_sketch(self, *args, **kwargs):
+        sketch = super().forall_sketch(*args, **kwargs)
+        self.sketches.append(sketch)
+        return sketch
+
+
+class TestShipOnce:
+    """Each shard sketch is built once, then priced, captured and unioned."""
+
+    @pytest.fixture
+    def counting(self):
+        # Dense shards and a small sampling constant: both the eps = 0.4
+        # and the hybrid's 0.2 sketches really sample, so two builds of
+        # one shard's sketch differ.
+        g = UGraph(nodes=range(16))
+        for u in range(16):
+            for v in range(u + 1, 16):
+                g.add_edge(u, v, 1.0)
+        return [
+            CountingServer(s.name, s.shard)
+            for s in partition_edges(g, 2, rng=1)
+        ]
+
+    @pytest.fixture
+    def unions(self, monkeypatch):
+        """The union graph each strategy computes its cut(s) on."""
+        seen = []
+
+        def grab(real):
+            def wrapper(graph, *args, **kwargs):
+                seen.append(graph)
+                return real(graph, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            coordinator, "stoer_wagner", grab(coordinator.stoer_wagner)
+        )
+        monkeypatch.setattr(
+            coordinator, "sample_near_min_cuts",
+            grab(coordinator.sample_near_min_cuts),
+        )
+        return seen
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "forall_only"])
+    def test_one_forall_sketch_call_per_shard(self, counting, strategy):
+        distributed_min_cut(
+            counting, epsilon=0.4, strategy=strategy, rng=5,
+            contraction_attempts=20, sampling_constant=0.1,
+        )
+        assert [len(s.sketches) for s in counting] == [1] * len(counting)
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "forall_only"])
+    def test_priced_sketches_are_the_unioned_ones(
+        self, counting, unions, strategy
+    ):
+        with obs.enabled():
+            with capturing() as cap:
+                result = distributed_min_cut(
+                    counting, epsilon=0.4, strategy=strategy, rng=5,
+                    contraction_attempts=20, sampling_constant=0.1,
+                )
+        shipped = [s.sketches[0] for s in counting]
+        assert cap.bits_by_kind()["distributed.ship"] == result.sketch_bits
+        assert result.sketch_bits == sum(s.size_bits() for s in shipped)
+        # Each undirected union edge averages the sketch's two directed
+        # copies, so the union carries half the sketches' directed weight.
+        union = unions[0]
+        assert union.total_weight() == pytest.approx(
+            sum(s.sparse.total_weight() for s in shipped) / 2.0
+        )

@@ -21,6 +21,17 @@ from repro.graphs.mincut import (
 from repro.graphs.ugraph import UGraph
 
 
+def disconnected_graphs():
+    """Two components, an isolated node, and three components."""
+    isolated = UGraph(edges=[("a", "b", 1.0)])
+    isolated.add_node("c")
+    return [
+        UGraph(edges=[("a", "b", 1.0), ("c", "d", 1.0)]),
+        isolated,
+        UGraph(edges=[(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]),
+    ]
+
+
 class TestStoerWagner:
     def test_path_graph(self):
         g = UGraph(edges=[("a", "b", 3.0), ("b", "c", 1.0), ("c", "d", 2.0)])
@@ -29,9 +40,10 @@ class TestStoerWagner:
         assert g.cut_weight(side) == 1.0
 
     def test_disconnected_returns_zero(self):
-        g = UGraph(edges=[("a", "b", 1.0), ("c", "d", 1.0)])
-        value, side = stoer_wagner(g)
-        assert value == 0.0
+        for g in disconnected_graphs():
+            value, side = stoer_wagner(g)
+            assert value == 0.0
+            assert g.cut_weight(side) == 0.0
 
     def test_two_nodes(self):
         g = UGraph(edges=[("a", "b", 4.5)])
@@ -75,14 +87,22 @@ class TestKarger:
         assert value == 1.0
 
     def test_disconnected(self):
-        g = UGraph(edges=[("a", "b", 1.0)])
-        g.add_node("c")
-        value, _ = karger_min_cut(g, rng=1)
-        assert value == 0.0
+        for g in disconnected_graphs():
+            value, side = karger_min_cut(g, rng=1)
+            assert value == 0.0
+            assert g.cut_weight(side) == 0.0
 
     def test_too_small_raises(self):
         with pytest.raises(GraphError):
             karger_min_cut(UGraph(nodes=["a"]))
+
+    def test_zero_weight_edges_give_zero_cut(self):
+        # Connected only through zero-weight edges: every contraction
+        # stalls above two super-nodes, yet a 0 cut is still returned.
+        g = UGraph(edges=[("a", "b", 0.0), ("c", "d", 0.0), ("b", "c", 1.0)])
+        value, side = karger_min_cut(g, rng=1)
+        assert value == 0.0
+        assert 0 < len(side) < 4 and g.cut_weight(side) == 0.0
 
     def test_explicit_trials(self):
         g = random_connected_ugraph(5, rng=2)
@@ -114,6 +134,16 @@ class TestNearMinCuts:
         g = random_connected_ugraph(4, rng=0)
         with pytest.raises(GraphError):
             sample_near_min_cuts(g, factor=0.5, attempts=10)
+
+    def test_disconnected(self):
+        # Contractions of a graph with three or more components stall
+        # above two super-nodes and are skipped, leaving the base cut.
+        for g in disconnected_graphs():
+            cuts = sample_near_min_cuts(g, factor=2.0, attempts=20, rng=3)
+            assert cuts[0] == stoer_wagner(g)
+            assert all(value == 0.0 for value, _ in cuts)
+        three = disconnected_graphs()[-1]
+        assert sample_near_min_cuts(three, 2.0, 20, rng=3) == [stoer_wagner(three)]
 
 
 class TestDirectedGlobalMinCut:

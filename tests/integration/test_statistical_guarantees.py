@@ -10,7 +10,7 @@ its exact rate) so the suite stays deterministic and robust.
 import pytest
 
 from repro.graphs.generators import planted_min_cut_ugraph
-from repro.graphs.mincut import _one_contraction_run, stoer_wagner
+from repro.graphs.mincut import karger_min_cut
 from repro.graphs.ugraph import UGraph
 from repro.localquery.oracle import GraphOracle
 from repro.localquery.verify_guess import fetch_degrees, verify_guess
@@ -60,14 +60,13 @@ class TestKargerAmplification:
         single_hits = sum(
             1
             for _ in range(30)
-            if _one_contraction_run(graph, gen)[0] == pytest.approx(float(k))
+            if karger_min_cut(graph, trials=1, rng=gen)[0]
+            == pytest.approx(float(k))
         )
         # A single contraction succeeds with probability ~2/(n(n-1));
         # it must be visibly unreliable...
         assert single_hits < 30
         # ...while the amplified estimator never misses on this seed set.
-        from repro.graphs.mincut import karger_min_cut
-
         for seed in range(5):
             value, _ = karger_min_cut(graph, rng=seed)
             assert value == pytest.approx(float(k))

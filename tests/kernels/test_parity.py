@@ -15,7 +15,12 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import random_connected_ugraph
 from repro.graphs.karger_stein import karger_stein_min_cut
 from repro.graphs.maxflow import max_flow
-from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
+from repro.graphs.mincut import (
+    directed_global_min_cut,
+    karger_min_cut,
+    sample_near_min_cuts,
+    stoer_wagner,
+)
 from repro.kernels import reference, using_backend
 from repro.linalg.hadamard import Lemma32Matrix
 
@@ -100,6 +105,23 @@ class TestContractionParity:
         assert a[1] == b[1]
         sw, _ = stoer_wagner(g)
         assert a[0] >= sw - 1e-9
+
+    @given(st.integers(4, 9), st.integers(0, 2**31))
+    @settings(max_examples=10, deadline=None)
+    def test_plain_karger_identical_per_seed(self, n, seed):
+        native_backend_or_skip()
+        g = random_connected_ugraph(n, extra_edge_prob=0.4, rng=seed)
+        runs = {}
+        for name in ("python", "native"):
+            with using_backend(name):
+                runs[name] = (
+                    karger_min_cut(g, rng=seed),
+                    sample_near_min_cuts(g, factor=2.0, attempts=40, rng=seed),
+                )
+        assert runs["python"] == runs["native"]
+        (value, side), cuts = runs["python"]
+        assert g.cut_weight(side) == pytest.approx(value)
+        assert all(g.cut_weight(s) == pytest.approx(v) for v, s in cuts)
 
     @given(st.integers(3, 14), st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
