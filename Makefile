@@ -52,7 +52,6 @@ wire-check:
 	rm -f wire-check.capture.jsonl
 
 dashboard:
-	PYTHONPATH=src python scripts/obs_db.py ingest --telemetry telemetry.jsonl
 	PYTHONPATH=src python scripts/obs_dashboard.py
 
 obs-commit:

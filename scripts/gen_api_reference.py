@@ -134,13 +134,20 @@ gated by `python scripts/bench_report.py --pr9-only`
 
 ### Cross-run observatory
 
-`scripts/obs_db.py ingest` condenses a `telemetry.jsonl` plus the
-`BENCH_*.json` gate reports into one append-only record in
-`.obs/history.jsonl`; `scripts/obs_dashboard.py` renders the history as
-a static dashboard (`.obs/dashboard.{md,html}`, `make dashboard`):
-measured-vs-envelope curves (bits vs ε, queries vs ε and k), the latest
-run's bound-check verdicts, span wall-time trends per ingested run, and
-a regression verdict comparing the last two runs.
+`scripts/obs_dashboard.py` condenses the telemetry of every commit on
+an experiment-store branch (see `repro.obs.store`) and renders the
+history as a static dashboard (`.obs/dashboard.{md,html}`,
+`make dashboard`): measured-vs-envelope curves (bits vs ε, queries vs ε
+and k), the latest run's bound-check verdicts, span wall-time trends
+per committed run, and a regression verdict comparing the last two
+runs.
+
+### Observability sessions (`repro.obs.session`)
+
+`session(...)` is the one place a command line wires observability;
+`run_all` and the serving daemon both enter it.  A failed setup raises
+`SessionError(exit_code, message)` after unwinding whatever was
+entered; the shared exit codes (2, 3, 5, 6) are defined there.
 
 ### Wire capture (`repro.obs.capture`)
 
@@ -238,26 +245,24 @@ object at `objects/<2-hex>/<62-hex>`, addressed by the SHA-256 of a
 deduplicates to one object.  Three kinds: *blobs* (raw artifact bytes:
 `telemetry.jsonl`, `wire.capture.jsonl`, `BENCH_*.json`, the derived
 `bounds.json` summary), *trees* (a sorted name → (blob, role) listing;
-roles are `telemetry` / `capture` / `bench` / `bounds` / `legacy` /
-`artifact`), and *commits* (tree + parent oids + message, author,
-timestamp, and a free-form `meta` dict — `run_all` stamps the
-experiment list, kernel backend, and bound-check tally there).  Tree
+roles are `telemetry` / `capture` / `bench` / `bounds` / `artifact`),
+and *commits* (tree + parent oids + message, author, timestamp, and a
+free-form `meta` dict — `run_all` stamps the experiment list, kernel
+backend, and bound-check tally there).  Tree
 and commit bodies are canonical JSON, so logically equal snapshots
 hash identically.
 
 **Ref layout.**  `refs/heads/<branch>` and `refs/tags/<tag>` hold one
 commit oid each; `HEAD` is either symbolic (`ref: refs/heads/main`) or
 a detached oid; every ref move appends to a JSONL `reflog`.  Branches
-name experiment lines (`lines/kernels`, `lines/legacy`, ...) — a
+name experiment lines (`lines/kernels`, `lines/serving`, ...) — a
 commit onto a new branch starts an independent, parentless line.
 Revisions resolve as `HEAD`, `HEAD~N`, branch, tag, or a unique hex
 prefix (≥ 4 chars).
 
 **Producing commits.**  `run_all --commit-run[=BRANCH]` snapshots the
 run it just finished (exit 5 if the store write fails);
-`obs_store.py commit` snapshots artifact files after the fact;
-`obs_store.py migrate` replays the flat `.obs/history.jsonl` era onto
-`lines/legacy` and round-trip-verifies every record.
+`obs_store.py commit` snapshots artifact files after the fact.
 
 **Consuming commits.**  `diff_commits` classifies every metric total
 (IMPROVED / REGRESSED / NEUTRAL around a relative threshold), flags
@@ -348,8 +353,9 @@ and answers for-all sketch queries and Theorem 5.7 shard ops.  Because
 the kernel is row-stable, batching never changes response bytes —
 `scripts/cut_bench.py` digest-checks this and writes `BENCH_PR10.json`
 (`make bench-serving`).  `--metrics-port`, `--slo`, and `--capture`
-wire the daemon into the live metrics/SLO/wire-capture stack; see
-EXPERIMENTS.md, "Serving tier".
+wire the daemon into the live metrics/SLO/wire-capture stack through
+the same `repro.obs.session` as `run_all`, with the same exit codes;
+see EXPERIMENTS.md, "Serving tier".
 """
 
 EXTRA_SECTIONS["repro.serving"] = _SERVING_EXTRA

@@ -1,12 +1,10 @@
 #!/usr/bin/env python
 """Render the cross-run observability dashboard.
 
-Reads run history — preferring the versioned experiment store at
-``--store`` (commits made by ``run_all --commit-run`` or
-``scripts/obs_store.py commit``) and falling back to the flat
-``.obs/history.jsonl`` accumulated by ``scripts/obs_db.py`` — and
-writes a static dashboard (``.obs/dashboard.md`` +
-``.obs/dashboard.html``):
+Reads run history from the versioned experiment store at ``--store``
+(commits made by ``run_all --commit-run`` or ``scripts/obs_store.py
+commit``) and writes a static dashboard into ``--out-dir`` (default
+``.obs``: ``.obs/dashboard.md`` + ``.obs/dashboard.html``):
 
 * **Measured-vs-theory curves** for the latest run — sketch bits vs ε
   against the Ω̃(n·√β/ε) / Ω(n·β/ε²) envelopes, and VERIFY-GUESS
@@ -14,8 +12,8 @@ writes a static dashboard (``.obs/dashboard.md`` +
   ASCII plots (``*`` measured, ``o`` theory envelope);
 * **Bound certification** status of the latest run (every
   ``bound_check`` verdict);
-* **Span wall-time trends** across all ingested runs — how long each
-  experiment region takes per PR;
+* **Span wall-time trends** across all committed runs — how long each
+  experiment region takes per commit;
 * **Regression verdict** comparing the two most recent runs: per-metric
   IMPROVED / REGRESSED / NEUTRAL verdicts (via
   :func:`repro.obs.store.diff.metric_deltas`, the same classifier
@@ -24,14 +22,12 @@ writes a static dashboard (``.obs/dashboard.md`` +
 
 Usage::
 
-    PYTHONPATH=src python scripts/obs_dashboard.py                  # store, else JSONL
+    PYTHONPATH=src python scripts/obs_dashboard.py
     PYTHONPATH=src python scripts/obs_dashboard.py --branch lines/kernels
-    PYTHONPATH=src python scripts/obs_dashboard.py --db .obs/history.jsonl --no-store
 """
 
 import argparse
 import html
-import json
 import math
 import sys
 import time
@@ -41,6 +37,11 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.harness import Table  # noqa: E402
+from repro.obs.report import (  # noqa: E402
+    aggregate_spans,
+    is_partial,
+    metric_totals,
+)
 from repro.obs.store import (  # noqa: E402
     DEFAULT_STORE,
     ExperimentStore,
@@ -48,8 +49,6 @@ from repro.obs.store import (  # noqa: E402
     metric_deltas,
     short_oid,
 )
-from repro.obs.store.migrate import RECORD_NAME  # noqa: E402
-from obs_db import DEFAULT_DB, condense_run, load_history  # noqa: E402
 
 #: Relative change below which a metric delta is NEUTRAL.
 METRIC_THRESHOLD = 0.05
@@ -177,8 +176,8 @@ def curves_section(run):
         lines.append("")
     if not plotted:
         lines.append(
-            "_No curve tables in the latest run — ingest a full "
-            "`run_all` telemetry file._"
+            "_No curve tables in the latest run — commit a full "
+            "`run_all` run._"
         )
         lines.append("")
     return lines
@@ -221,13 +220,7 @@ def bounds_section(run):
 
 
 def _run_name(run, index):
-    label = run.get("label")
-    if label:
-        return str(label)
-    stamp = run.get("ingested_at")
-    if stamp:
-        return time.strftime("%m-%d %H:%M", time.localtime(stamp))
-    return f"run{index}"
+    return str(run.get("label") or f"run{index}")
 
 
 def trends_section(runs):
@@ -342,35 +335,49 @@ def regression_section(runs):
     return lines
 
 
+def condense_run(events, label=None, source=None):
+    """One run record summarising a telemetry event stream."""
+    rows = []
+    for record in events:
+        if record.get("event") != "row":
+            continue
+        row = {"table": record.get("table"), "values": record.get("values", {})}
+        if record.get("meta"):
+            row["meta"] = record["meta"]
+        if "wall_s" in record:
+            row["wall_s"] = record["wall_s"]
+        rows.append(row)
+    bound_checks = [
+        {k: v for k, v in record.items() if k not in ("event", "seq", "ts")}
+        for record in events
+        if record.get("event") == "bound_check"
+    ]
+    return {
+        "label": label,
+        "source": source,
+        "partial": is_partial(events),
+        "spans": aggregate_spans(events),
+        "metrics": metric_totals(events),
+        "rows": rows,
+        "bound_checks": bound_checks,
+    }
+
+
 def runs_from_store(store_path, branch=None):
     """Condensed run records from an experiment-store branch, oldest first.
 
-    Regular commits contribute their telemetry blob, condensed exactly
-    the way ``obs_db.py ingest`` condenses a telemetry file (so store
-    and JSONL trends are directly comparable); commits migrated from
-    the legacy flat history carry their original record verbatim and
-    contribute it unchanged.
+    Each commit contributes its telemetry blobs, condensed by
+    :func:`condense_run`; commits without telemetry are skipped.
     """
     store = ExperimentStore.open(store_path)
     runs = []
     for oid, commit in store.history(branch or "HEAD"):
-        files = store.tree_files(oid)
-        if RECORD_NAME in files and files[RECORD_NAME][1] == "legacy":
-            record = json.loads(store.artifact_bytes(oid, RECORD_NAME))
-            runs.append(record)
+        blobs = store.artifacts_by_role(oid, "telemetry")
+        if not blobs:
             continue
-        telemetry = [
-            name for name, (_oid, role) in files.items() if role == "telemetry"
-        ]
-        if not telemetry:
-            continue
-        events = []
-        for name in sorted(telemetry):
-            events.extend(events_from_bytes(store.artifact_bytes(oid, name)))
+        events = [e for _name, data in blobs for e in events_from_bytes(data)]
         record = condense_run(
-            events,
-            label=short_oid(oid),
-            source=f"store:{commit.message}",
+            events, label=short_oid(oid), source=f"store:{commit.message}"
         )
         record["ingested_at"] = commit.timestamp
         runs.append(record)
@@ -427,17 +434,10 @@ def render_html(markdown_text):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--db", default=DEFAULT_DB, help="history database path")
     parser.add_argument(
         "--store",
         default=DEFAULT_STORE,
-        help="experiment store to read trends from when it exists "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="ignore the experiment store and read --db directly",
+        help="experiment store to read runs from (default: %(default)s)",
     )
     parser.add_argument(
         "--branch",
@@ -446,27 +446,25 @@ def main():
     )
     parser.add_argument(
         "--out-dir",
-        default=None,
-        help="output directory (default: the database's directory)",
+        default=".obs",
+        help="output directory (default: %(default)s)",
     )
     args = parser.parse_args()
 
-    if not args.no_store and ExperimentStore.is_store(args.store):
+    source = f"store {args.store}" + (
+        f" branch {args.branch}" if args.branch else ""
+    )
+    runs = []
+    if ExperimentStore.is_store(args.store):
         runs = runs_from_store(args.store, branch=args.branch)
-        source = f"store {args.store}" + (
-            f" branch {args.branch}" if args.branch else ""
-        )
-    else:
-        runs = load_history(args.db)
-        source = str(args.db)
     if not runs:
         print(
             f"error: no runs in {source}; commit one with "
-            "run_all --commit-run or ingest one with scripts/obs_db.py",
+            "run_all --commit-run",
             file=sys.stderr,
         )
         return 1
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.db).parent
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     markdown_text = render_markdown(runs)
     md_path = out_dir / "dashboard.md"

@@ -17,7 +17,6 @@ Subcommands::
     diff      BASE OTHER [--check]      structural run diff + verdict
     fsck                                verify every object and ref
     bisect    --good A --bad B --metric M   find the first bad commit
-    migrate   [--db .obs/history.jsonl]     ingest the legacy history
 
 Exit codes: 0 success; 1 store/usage error (including fsck corruption);
 2 ``diff --check`` found a REGRESSED verdict.
@@ -50,12 +49,9 @@ from repro.obs.store import (  # noqa: E402
     collect_run_files,
     diff_commits,
     fsck,
-    migrate_history,
     short_oid,
-    verify_migration,
 )
 from repro.obs.store.bisect import BisectError  # noqa: E402
-from repro.obs.store.migrate import LEGACY_BRANCH  # noqa: E402
 
 #: Exit code for a REGRESSED verdict under ``diff --check``.
 EXIT_REGRESSED = 2
@@ -236,18 +232,6 @@ def cmd_bisect(args):
     return 0
 
 
-def cmd_migrate(args):
-    store = _open_store(args)
-    oids = migrate_history(store, args.db, branch=args.branch)
-    source, migrated = verify_migration(store, args.db, branch=args.branch)
-    print(
-        f"migrated {migrated} legacy run(s) from {args.db} onto "
-        f"{args.branch} ({short_oid(oids[0])}..{short_oid(oids[-1])}); "
-        f"round-trip verified against {source} source record(s)"
-    )
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -343,19 +327,6 @@ def main(argv=None):
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_bisect)
-
-    p = sub.add_parser("migrate", help="ingest the legacy flat history")
-    p.add_argument(
-        "--db",
-        default=".obs/history.jsonl",
-        help="legacy history database (default: %(default)s)",
-    )
-    p.add_argument(
-        "--branch",
-        default=LEGACY_BRANCH,
-        help="branch for the migrated chain (default: %(default)s)",
-    )
-    p.set_defaults(func=cmd_migrate)
 
     args = parser.parse_args(argv)
     try:

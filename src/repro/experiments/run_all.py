@@ -11,36 +11,23 @@ Each experiment prints the same harness tables as its benchmark twin in
 artifact quickly (and pipe it into a report) without the benchmarking
 machinery.
 
-Unless ``--no-telemetry`` is passed, the run also records structured
+Unless ``--no-telemetry`` is passed, the run records structured
 telemetry (spans, per-row metric deltas, and a final ``summary`` with
 every global counter/histogram) into ``--telemetry PATH`` (default
 ``telemetry.jsonl``); ``scripts/trace_report.py`` turns that file back
-into tables.
+into tables.  Every run also certifies the metered quantities against
+the paper's envelopes (:mod:`repro.obs.bounds`) and prints the verdicts.
 
-Every run additionally certifies the metered quantities against the
-paper's envelopes (:mod:`repro.obs.bounds`): experiment tables that
-declare ``bounds=...`` are checked row by row, the per-sweep scaling
-exponents are fitted, and the results are printed and emitted as
-``bound_check`` events.  ``--strict-bounds`` turns any violation into
-exit code 2.  ``--profile`` attaches the span-attributed profiler
-(:mod:`repro.obs.profile`) and records ``profile`` events.
-
-``--memory[=sample|trace]`` attaches the measured-space profiler
-(:mod:`repro.obs.memory`): a background thread samples peak RSS, every
-core-structure construction (CSR snapshots, sketches, the local-query
-oracle) records its measured resident bytes next to its theoretical
-``size_bits()``, and the Thm 1.1/1.2/1.3 *space* companions certify the
-measured bytes against the theorem envelopes alongside the bit bounds
-(so ``--memory --strict-bounds`` enforces them).  ``trace`` mode
-additionally attributes tracemalloc net/peak allocation deltas to span
-paths; ``memory`` events ride the normal telemetry flow, the live bus
-gains ``repro_memory_*`` gauges, and the ``mem:`` / ``rss:`` SLO rule
-kinds become meaningful.  All memory status output goes to stderr, so
-stdout digests are unaffected at any ``--jobs`` count.
-``--capture-wire`` additionally records every protocol message (sketch
-ships, ledger charges, oracle queries) to ``--capture-path`` as a
-wire-level transcript; render it with ``scripts/wire_report.py`` or
-diff-replay individual games with ``scripts/wire_replay.py``.
+The other observability flags are wired by
+:func:`repro.obs.session.session`: ``--strict-bounds``, ``--profile``
+(span-attributed profiler), ``--memory[=sample|trace]`` (measured
+space, certified by the Thm 1.1/1.2/1.3 space companions),
+``--capture-wire`` (a wire transcript for ``scripts/wire_report.py``
+and ``scripts/wire_replay.py``), ``--slo[=SPEC]`` (live SLO rules;
+default: a margin floor of 1.0 on every registered bound plus a 30 s
+worker-stall rule), ``--live-export[=PATH]`` and ``--live-port N``
+(what ``scripts/obs_watch.py`` tails).  Their status output goes to
+stderr, so stdout digests are unaffected at any ``--jobs`` count.
 
 ``--kernels {auto,python,native}`` selects the compiled-kernel backend
 for the hot loops (Dinic, contraction, Lemma 3.2 products); see
@@ -70,12 +57,10 @@ and ``--live-port N`` serves Prometheus text at
 ``scripts/obs_watch.py`` tails.  All live status output goes to
 stderr, so stdout digests are unaffected.
 
-Exit codes: 0 success; 2 bound violation under ``--strict-bounds``;
-3 telemetry sink failure (could not open, or writing failed mid-run);
-4 explicitly requested kernel backend unavailable; 5 ``--commit-run``
-could not commit the run into the experiment store (or a baseline SLO
-rule could not resolve its reference from the store); 6 an SLO rule
-breached under ``--slo``.
+Exit codes: 0 success; 4 an explicitly requested kernel backend is
+unavailable; 7 a ``--serve`` smoke diverged from direct evaluation;
+2 (``--strict-bounds`` violation), 3 (output failure), 5 (store
+failure) and 6 (SLO breach) as defined in :mod:`repro.obs.session`.
 """
 
 from __future__ import annotations
@@ -87,35 +72,20 @@ from typing import Callable, Dict, List, Optional
 
 from repro.experiments.harness import Table, sweep
 from repro.parallel import set_default_jobs
-from repro.obs import (
-    REGISTRY as OBS_REGISTRY,
-    STATE as OBS_STATE,
-    JsonlSink,
-    SpanProfiler,
-    disable as obs_disable,
-    enable as obs_enable,
-    event as obs_event,
-    reset_metrics,
-    span as obs_span,
-)
-from repro.obs import bounds as obs_bounds
-from repro.obs import capture as obs_capture
-from repro.obs import live as obs_live
+from repro.obs import JsonlSink, span as obs_span
 from repro.obs import memory as obs_memory
-from repro.obs import slo as obs_slo
-from repro.obs.exporters import JsonlExporter, MetricsServer
+from repro.obs.session import (  # noqa: F401 - EXIT_* are re-exported
+    EXIT_BOUND_VIOLATION,
+    EXIT_SLO_BREACH,
+    EXIT_STORE_FAILURE,
+    EXIT_TELEMETRY_FAILURE,
+    SessionError,
+    open_jsonl,
+    session as obs_session,
+)
 
-#: Exit code for a bound violation under ``--strict-bounds``.
-EXIT_BOUND_VIOLATION = 2
-#: Exit code for a telemetry sink failure.
-EXIT_TELEMETRY_FAILURE = 3
 #: Exit code for an explicitly requested kernel backend that cannot load.
 EXIT_KERNELS_UNAVAILABLE = 4
-#: Exit code for a failed --commit-run store commit (also: a baseline
-#: SLO rule whose reference could not resolve from the store).
-EXIT_STORE_FAILURE = 5
-#: Exit code for an SLO breach under ``--slo``.
-EXIT_SLO_BREACH = 6
 #: Exit code for a ``--serve`` smoke whose served responses diverge
 #: from direct in-process evaluation.
 EXIT_SERVE_SMOKE_FAILURE = 7
@@ -635,7 +605,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         nargs="?",
         const=obs_memory.SAMPLE,
         default=None,
-        metavar="{sample,trace}",
+        choices=obs_memory.MODES,
         help="attach the measured-space profiler: 'sample' (the bare "
         "flag) tracks peak RSS and structure footprints; 'trace' "
         "additionally attributes tracemalloc deltas to span paths.  "
@@ -724,11 +694,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.flush_every is not None and args.flush_every <= 0:
         parser.error("--flush-every must be a positive record count")
 
-    if args.memory is not None and args.memory not in obs_memory.MODES:
-        parser.error(
-            f"--memory must be one of {obs_memory.MODES}, got {args.memory!r}"
-        )
-
     if args.commit_run is not None and args.no_telemetry:
         parser.error(
             "--commit-run needs the telemetry stream; "
@@ -768,235 +733,58 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    # Metric mirroring must be on for bound certification (the sketch-size
-    # specs read per-row metric deltas), so --no-telemetry only drops the
-    # sink, not the switch, when bounds are enforced strictly.
-    # Wire capture needs live instrumentation sites too, so it also
-    # forces the switch on (it records regardless of --no-telemetry).
-    # The live bus tees off sink.emit, so --slo/--live-export/--live-port
-    # force the switch on the same way (they work under --no-telemetry).
     live_on = (
         args.slo is not None
         or args.live_export is not None
         or args.live_port is not None
     )
-    use_obs = (
-        not args.no_telemetry
-        or args.strict_bounds
-        or args.capture_wire
-        or live_on
-        or args.memory is not None
-    )
-    # Space-envelope companions must exist before the SLO spec parses:
-    # a bare --slo (and any bound:* wildcard) expands over the registry,
-    # and the memory specs belong in that expansion.
-    if args.memory is not None:
-        obs_memory.register_space_bounds()
-    flush_every = args.flush_every
-    if flush_every is None and live_on:
-        flush_every = 1  # live tails must see events promptly
-    sink = None
-    if not args.no_telemetry:
-        try:
-            sink = JsonlSink(args.telemetry, flush_every=flush_every)
-        except OSError as exc:
-            print(
-                f"error: cannot open telemetry sink "
-                f"{os.path.abspath(args.telemetry)}: {exc}",
-                file=sys.stderr,
-            )
-            _kernels.select_backend(previous_kernels)
-            return EXIT_TELEMETRY_FAILURE
-        print(f"telemetry sink: {os.path.abspath(sink.path)}")
-    if use_obs:
-        reset_metrics()
-        OBS_STATE.sink = sink  # None drops events; metrics still record
-        obs_enable()
-
-    # Live observability: the bus tees every emitted record; the
-    # aggregator folds them into windows; the SLO engine and the
-    # exporters subscribe.  All status output goes to stderr — stdout
-    # carries only the tables, so digests stay comparable.
-    bus: Optional[obs_live.LiveBus] = None
-    aggregator: Optional[obs_live.LiveAggregator] = None
-    engine: Optional[obs_slo.SloEngine] = None
-    exporter: Optional[JsonlExporter] = None
-    server: Optional[MetricsServer] = None
-
-    def _live_teardown() -> None:
-        if server is not None:
-            server.stop()
-        if exporter is not None:
-            exporter.close()
-        if bus is not None:
-            obs_live.uninstall(bus)
-
-    def _setup_abort() -> None:
-        """Unwind everything a failed live-setup step left behind."""
-        _live_teardown()
-        if sink is not None:
-            sink.close()
-            OBS_STATE.sink = None
-        if use_obs:
-            obs_disable()
-        _kernels.select_backend(previous_kernels)
-
-    if live_on:
-        bus = obs_live.install(obs_live.LiveBus())
-        aggregator = obs_live.LiveAggregator().attach(bus)
-        if args.slo is not None:
-            try:
-                rules = obs_slo.parse_spec(args.slo)
-            except obs_slo.SloError as exc:
-                _setup_abort()
-                parser.error(str(exc))
-            engine = obs_slo.SloEngine(
-                rules, aggregator=aggregator, store_root=args.store
-            ).attach(bus)
-            try:
-                engine.resolve_baselines()
-            except obs_slo.SloError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                _setup_abort()
-                return EXIT_STORE_FAILURE
-            for rule in engine.rules:
-                print(f"slo rule: {rule.describe()}", file=sys.stderr)
-        if args.live_export is not None:
-            try:
-                exporter = JsonlExporter(
-                    args.live_export, aggregator=aggregator
-                ).attach(bus)
-            except OSError as exc:
-                print(
-                    f"error: cannot open live export "
-                    f"{os.path.abspath(args.live_export)}: {exc}",
-                    file=sys.stderr,
-                )
-                _setup_abort()
-                return EXIT_TELEMETRY_FAILURE
-            print(
-                f"live export: {os.path.abspath(args.live_export)}",
-                file=sys.stderr,
-            )
-        if args.live_port is not None:
-            try:
-                server = MetricsServer(
-                    port=args.live_port, aggregator=aggregator
-                ).start()
-            except OSError as exc:
-                print(
-                    f"error: cannot bind the live metrics server on "
-                    f"port {args.live_port}: {exc}",
-                    file=sys.stderr,
-                )
-                _setup_abort()
-                return EXIT_TELEMETRY_FAILURE
-            server.announce("live metrics")
-
-    capture = None
-    capture_sink = None
-    if args.capture_wire:
-        try:
-            capture_sink = JsonlSink(args.capture_path)
-        except OSError as exc:
-            print(
-                f"error: cannot open wire capture "
-                f"{os.path.abspath(args.capture_path)}: {exc}",
-                file=sys.stderr,
-            )
-            _setup_abort()
-            return EXIT_TELEMETRY_FAILURE
-        capture = obs_capture.WireCapture(
-            meta={"run": "run_all", "experiments": chosen},
-            sink=capture_sink,
-        )
-        obs_capture.install(capture)
-        print(f"wire capture: {os.path.abspath(capture_sink.path)}")
-
-    monitor = obs_bounds.BoundMonitor()
-    obs_bounds.install(monitor)
-    profiler = SpanProfiler() if args.profile else None
-    mem_profiler = (
-        obs_memory.MemoryProfiler(mode=args.memory)
-        if args.memory is not None
-        else None
-    )
+    # Live tails must see telemetry events promptly.
+    flush_every = args.flush_every or (1 if live_on else None)
     # Every sweep and game round below resolves its worker count through
     # this process-wide default (argument > default > $REPRO_JOBS > 1).
     set_default_jobs(args.jobs)
     try:
-        if profiler is not None:
-            profiler.start()
-        if mem_profiler is not None:
-            mem_profiler.start()
-            print(
-                f"memory profiler: mode={mem_profiler.mode}, rss sampler "
-                f"every {mem_profiler.interval}s",
-                file=sys.stderr,
+        sink = None
+        if not args.no_telemetry:
+            sink = open_jsonl(
+                "telemetry sink", JsonlSink, args.telemetry,
+                flush_every=flush_every,
             )
-        try:
+            print(f"telemetry sink: {os.path.abspath(sink.path)}")
+        # Metric mirroring must be on for bound certification (the
+        # sketch-size specs read per-row metric deltas), so
+        # --strict-bounds keeps the switch on under --no-telemetry.
+        with obs_session(
+            enable=args.strict_bounds,
+            sink=sink,
+            slo=args.slo,
+            store=args.store,
+            live_export=args.live_export,
+            metrics_port=args.live_port,
+            capture=args.capture_path if args.capture_wire else None,
+            capture_meta={"run": "run_all", "experiments": chosen},
+            memory_mode=args.memory,
+            profile=args.profile,
+        ) as obs:
+            if obs.capture is not None:
+                path = os.path.abspath(obs.capture_sink.path)
+                print(f"wire capture: {path}")
             for key in chosen:
                 with obs_span(f"experiment.{key}"):
                     for table in REGISTRY[key]():
                         table.emit()
-                if mem_profiler is not None:
+                if obs.memory is not None:
                     # Main-thread RSS checkpoint between experiments:
                     # fresh memory.rss_* gauges + one rss event for the
                     # live bus / rss: rules while the run is still going.
-                    mem_profiler.checkpoint()
-        finally:
-            if profiler is not None:
-                profiler.stop()
-            if mem_profiler is not None:
-                mem_profiler.stop()
-        if mem_profiler is not None:
-            # Before engine.finish(): span-allocation records reach the
-            # aggregator through the bus tee, so mem: rules see them.
-            mem_profiler.emit_events()
-            if bus is not None:
-                # One closing clock pulse so the exporter serialises a
-                # live.snapshot frame that includes the memory records
-                # just published (worker ticks stopped with the pool).
-                obs_live.tick()
-            rss = mem_profiler.rss_record()
-            print(
-                f"memory: rss {rss['rss_bytes']} bytes, "
-                f"peak {rss['rss_peak_bytes']} bytes "
-                f"({rss['samples']} samples, {rss['source']}), "
-                f"{len(mem_profiler.footprints)} footprints",
-                file=sys.stderr,
-            )
-        monitor.finish()
-        if engine is not None:
-            # Final whole-window evaluation while the sink is still
-            # open, so late breaches land in the telemetry stream.
-            engine.finish()
-        if profiler is not None:
-            profiler.emit_events()
-        if sink is not None:
-            # The authoritative cumulative totals for trace_report.
-            obs_event("summary", metrics=OBS_REGISTRY.as_dict())
+                    obs.memory.checkpoint()
+    except SessionError as exc:
+        return exc.report(parser)
     finally:
         set_default_jobs(None)
         _kernels.select_backend(previous_kernels)
-        obs_bounds.uninstall(monitor)
-        if mem_profiler is not None:
-            mem_profiler.stop()  # idempotent; covers the crash path
-        if args.memory is not None:
-            # Restore the pre-run spec registry: later in-process runs
-            # without --memory must not inherit the space companions.
-            obs_memory.unregister_space_bounds()
-        _live_teardown()
-        if capture is not None:
-            obs_capture.uninstall(capture)
-        if capture_sink is not None:
-            capture_sink.close()
-        if use_obs:
-            obs_disable()
-        if sink is not None:
-            sink.close()
-            OBS_STATE.sink = None
 
+    monitor, engine = obs.monitor, obs.engine
     if monitor.checks:
         print("\n== Bound certification ==")
         for line in monitor.summary_lines():
@@ -1015,38 +803,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{len(engine.breaches)} breaches"
         )
 
-    if exporter is not None and exporter.error is not None:
-        print(
-            f"error: live export writing to "
-            f"{os.path.abspath(exporter.path)} failed: {exporter.error}",
-            file=sys.stderr,
-        )
+    failure = obs.write_failure()
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return EXIT_TELEMETRY_FAILURE
-
-    if capture is not None:
-        if capture_sink.error is not None:
-            print(
-                f"error: wire capture writing to "
-                f"{os.path.abspath(capture_sink.path)} failed: "
-                f"{capture_sink.error}",
-                file=sys.stderr,
-            )
-            return EXIT_TELEMETRY_FAILURE
-        parties = len(capture.parties())
+    if obs.capture is not None:
         print(
             f"\nwire capture written to {args.capture_path}: "
-            f"{len(capture)} messages, {capture.total_bits} bits, "
-            f"{parties} parties"
+            f"{len(obs.capture)} messages, {obs.capture.total_bits} bits, "
+            f"{len(obs.capture.parties())} parties"
         )
-
-    if sink is not None:
-        if sink.error is not None:
-            print(
-                f"error: telemetry writing to {os.path.abspath(sink.path)} "
-                f"failed: {sink.error}",
-                file=sys.stderr,
-            )
-            return EXIT_TELEMETRY_FAILURE
+    if obs.sink is not None:
         print(f"\ntelemetry written to {args.telemetry}")
 
     if args.commit_run is not None:
@@ -1069,7 +836,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             files = collect_run_files(
                 telemetry_path=args.telemetry,
                 capture_path=(
-                    args.capture_path if capture is not None else None
+                    args.capture_path if obs.capture is not None else None
                 ),
                 bench_paths=sorted(Path.cwd().glob("BENCH_*.json")),
             )

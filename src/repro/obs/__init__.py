@@ -44,7 +44,11 @@ round trips).  Three pieces:
   ``mem:``/``rss:`` ceilings) evaluated live, emitting
   ``slo.violation`` events (``run_all --slo`` exits 6);
 * :mod:`repro.obs.exporters` — Prometheus-text HTTP endpoint and
-  streaming JSONL export feeding ``scripts/obs_watch.py``.
+  streaming JSONL export feeding ``scripts/obs_watch.py``;
+* :mod:`repro.obs.session` — the one wiring site for a command line:
+  ``run_all`` and the serving daemon both enter
+  :func:`~repro.obs.session.session`, which stacks the pieces above on
+  one exit stack and owns their shared exit codes.
 
 Everything is gated by one switch (:func:`enable` / :func:`disable`,
 default **off**) whose disabled path is a near-zero-cost branch; see

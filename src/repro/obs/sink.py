@@ -35,8 +35,7 @@ def _jsonable(value: Any) -> Any:
 class JsonlSink:
     """Append telemetry records to a JSONL file, one object per line.
 
-    ``mode="w"`` truncates an existing file; ``mode="a"`` appends to it
-    (the run-history database in ``.obs/`` relies on append semantics).
+    ``mode="w"`` truncates an existing file; ``mode="a"`` appends to it.
     A mid-run disk failure must not take the experiment down with it:
     the first :class:`OSError` from a write is remembered in
     :attr:`error`, the file is closed, and every later record is

@@ -77,6 +77,11 @@ DEFAULT_STALL_S = 30.0
 #: objective of the serving tier (:mod:`repro.serving`).
 DEFAULT_SERVING_P99_S = 0.25
 
+#: The serving daemon's bare ``--slo`` spec: one windowed latency
+#: ceiling on the synthetic ``serve.request`` spans the daemon emits per
+#: answered request.  Operators add e.g. ``span:serve.batch:p99<=0.05``.
+SERVING_DEFAULT_SLO = f"span:serve.request:p99<={DEFAULT_SERVING_P99_S:g}"
+
 
 class SloError(ObsError):
     """An SLO spec failed to parse or a baseline failed to resolve."""
@@ -342,29 +347,6 @@ def default_rules(stall_s: float = DEFAULT_STALL_S) -> List[SloRule]:
         )
     )
     return rules
-
-
-def serving_default_rules(
-    p99_s: float = DEFAULT_SERVING_P99_S,
-) -> List[SloRule]:
-    """The serving daemon's bare ``--slo`` rule set.
-
-    One windowed latency ceiling on the synthetic ``serve.request``
-    spans the daemon emits per answered request — the "p99 under a
-    bound while micro-batching sustains throughput" objective that
-    ``BENCH_PR10.json`` gates.  Batch-flush latency rides the same
-    grammar: operators add e.g. ``span:serve.batch:p99<=0.05`` on top.
-    """
-    return [
-        SloRule(
-            name=f"span:serve.request:p99<={p99_s:g}",
-            kind="span",
-            target="serve.request",
-            op="<=",
-            threshold=float(p99_s),
-            quantile=0.99,
-        )
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -661,10 +643,10 @@ __all__ = [
     "DEFAULT_SERVING_P99_S",
     "DEFAULT_STALL_S",
     "KINDS",
+    "SERVING_DEFAULT_SLO",
     "SloEngine",
     "SloError",
     "SloRule",
     "default_rules",
     "parse_spec",
-    "serving_default_rules",
 ]

@@ -1,10 +1,9 @@
 """Content-addressed, versioned storage for experiment artifacts.
 
-The observatory's flat ``.obs/history.jsonl`` (PR 3) answers "what did
-the last run measure"; this package answers the navigation questions a
-*fleet* of runs raises — what lineage is this run part of, what changed
-between these two runs, did anything rot, and **which commit moved this
-metric**.  It is a small git: immutable zlib-compressed objects
+This package is the observatory's run history.  It answers the
+navigation questions a series of runs raises — what lineage is this
+run part of, what changed between these two runs, did anything rot,
+and **which commit moved this metric**.  It is a small git: immutable zlib-compressed objects
 addressed by SHA-256, trees grouping one run's artifacts (telemetry,
 wire transcripts, bench gate reports, bound summaries — the certified
 envelope evidence of Thms 1.1/1.2/1.3/5.7), commits with parent links,
@@ -26,12 +25,10 @@ branches per experiment line, tags, a reflog, and the verbs over them:
 * :mod:`repro.obs.store.bisect` — the automated regression bisector,
   replay-verifying cached wire transcripts
   (:func:`repro.obs.replay.replay_capture`) before trusting a
-  commit's numbers;
-* :mod:`repro.obs.store.migrate` — ingest the legacy flat history as
-  a linear chain on ``lines/legacy`` so nothing is orphaned.
+  commit's numbers.
 
 Drive it with ``scripts/obs_store.py`` (init / commit / log / show /
-branch / checkout / diff / fsck / bisect / migrate) or commit runs
+branch / checkout / diff / fsck / bisect) or commit runs
 automatically with ``python -m repro.experiments.run_all
 --commit-run``.  The store lives at ``.obs/store`` by default and is
 safe to delete — it holds *copies* of artifacts, never originals.
@@ -57,12 +54,6 @@ from repro.obs.store.diff import (
     metric_deltas,
 )
 from repro.obs.store.fsck import FsckIssue, FsckReport, fsck
-from repro.obs.store.migrate import (
-    LEGACY_BRANCH,
-    load_history_records,
-    migrate_history,
-    verify_migration,
-)
 from repro.obs.store.objects import (
     Commit,
     ObjectStore,
@@ -93,7 +84,6 @@ __all__ = [
     "FsckIssue",
     "FsckReport",
     "GateDelta",
-    "LEGACY_BRANCH",
     "MetricDelta",
     "ObjectStore",
     "RefStore",
@@ -112,11 +102,8 @@ __all__ = [
     "events_from_bytes",
     "fsck",
     "hash_object",
-    "load_history_records",
     "metric_deltas",
-    "migrate_history",
     "short_oid",
     "validate_ref_name",
-    "verify_migration",
     "verify_transcript",
 ]

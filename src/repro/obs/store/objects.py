@@ -41,7 +41,7 @@ OBJECT_KINDS = ("blob", "tree", "commit")
 
 #: Roles a tree entry may carry; free-form strings are allowed but these
 #: are the ones the diff/bisect layers know how to interpret.
-KNOWN_ROLES = ("telemetry", "capture", "bench", "bounds", "legacy", "artifact")
+KNOWN_ROLES = ("telemetry", "capture", "bench", "bounds", "artifact")
 
 
 class StoreError(ObsError):

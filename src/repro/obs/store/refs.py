@@ -1,11 +1,11 @@
 """Branches, tags, HEAD, and the reflog for the experiment store.
 
 Refs are the store's *names*: a branch per experiment line (the
-convention is ``lines/<area>`` — ``lines/kernels``, ``lines/serving``,
-``lines/legacy`` for migrated history), tags for milestones (a paper
-submission, a released baseline), and ``HEAD`` for "where the next
-commit goes".  A ref is one file holding one commit id; ``HEAD`` is
-either symbolic (``ref: refs/heads/<branch>``) or a detached commit id.
+convention is ``lines/<area>`` — ``lines/kernels``, ``lines/serving``),
+tags for milestones (a paper submission, a released baseline), and
+``HEAD`` for "where the next commit goes".  A ref is one file holding
+one commit id; ``HEAD`` is either symbolic (``ref: refs/heads/<branch>``)
+or a detached commit id.
 
 Every HEAD/branch movement appends a JSONL record to ``reflog`` —
 ``{ts, ref, old, new, message}`` — so the history of *the history* is

@@ -42,8 +42,8 @@ from repro.obs.store.objects import (
 )
 from repro.obs.store.refs import DEFAULT_BRANCH, RefStore
 
-#: Default store root, relative to the working directory — lives beside
-#: the legacy ``.obs/history.jsonl`` it supersedes.
+#: Default store root, relative to the working directory (beside the
+#: dashboard that ``scripts/obs_dashboard.py`` renders into ``.obs/``).
 DEFAULT_STORE = ".obs/store"
 
 _REV_SUFFIX_RE = re.compile(r"^(?P<base>.+?)(?P<tildes>(~\d*)+)$")
@@ -150,15 +150,6 @@ class ExperimentStore:
         return {
             e.name: (e.oid, e.role) for e in self.read_tree_of(commit_oid).entries
         }
-
-    def artifact_bytes(self, commit_oid: str, name: str) -> bytes:
-        files = self.tree_files(commit_oid)
-        if name not in files:
-            raise StoreError(
-                f"commit {short_oid(commit_oid)} has no artifact {name!r} "
-                f"(has: {sorted(files)})"
-            )
-        return self.blob_bytes(files[name][0])
 
     def artifacts_by_role(
         self, commit_oid: str, role: str

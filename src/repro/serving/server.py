@@ -29,6 +29,12 @@ that crossed the socket, and every answered request emits a synthetic
 ``serve.request`` span record, so the existing SLO grammar
 (``span:serve.request:p99<=0.25``) and the live dashboard work on
 served traffic unchanged.
+
+As a daemon it wires observability through
+:func:`repro.obs.session.session`, like ``run_all``, and exits 0 after
+a clean shutdown or with that module's codes: 2 a malformed ``--slo``,
+3 an unopenable ``--capture`` / ``--metrics-port`` or a failed capture
+write, 5 an unresolvable baseline SLO rule, 6 an SLO breach.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ from repro.obs import observe as _obs_observe
 from repro.obs import sink as _sink
 from repro.obs.announce import announce
 from repro.obs.core import STATE as _OBS
+from repro.obs.session import (
+    EXIT_SLO_BREACH,
+    EXIT_TELEMETRY_FAILURE,
+    SessionError,
+    session as obs_session,
+)
+from repro.obs.slo import SERVING_DEFAULT_SLO
 from repro.serving.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_S, MicroBatcher
 from repro.serving.cache import DEFAULT_CACHE_BYTES, SnapshotCache, SnapshotEntry
 from repro.serving.protocol import (
@@ -637,57 +650,47 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The daemon is an observability citizen by default: enable the
-    # switch so spans/counters/captures flow (scrapes and SLO rules are
-    # the whole point of running it).
-    import repro.obs as obs
-    from repro.obs import capture as capture_mod
-    from repro.obs import slo as slo_mod
-    from repro.obs.exporters import MetricsServer
-    from repro.obs.live import LiveAggregator, LiveBus, install as live_install, uninstall as live_uninstall
-    from repro.obs.sink import RotatingJsonlSink
+    slo = args.slo
+    if slo is not None and not slo.strip():
+        slo = SERVING_DEFAULT_SLO
+    try:
+        # The daemon is an observability citizen by default: the switch
+        # is on so counters and captures flow (scrapes and SLO rules are
+        # the whole point of running it).
+        with obs_session(
+            enable=True,
+            slo=slo,
+            metrics_port=args.metrics_port,
+            metrics_label="serving metrics",
+            capture=args.capture,
+            capture_meta={"kind": "serving", "server": args.name},
+            capture_retain=args.capture_retain,
+            capture_rotate_bytes=args.capture_rotate_bytes,
+        ) as obs:
+            _serve_until_signalled(args)
+    except SessionError as exc:
+        return exc.report(parser)
 
-    obs.enable()
-    bus = LiveBus()
-    aggregator = LiveAggregator()
-    aggregator.attach(bus)
-    live_install(bus)
-
-    engine = None
-    if args.slo is not None:
-        rules = (
-            slo_mod.serving_default_rules()
-            if not args.slo.strip()
-            else slo_mod.parse_spec(args.slo)
+    if obs.capture is not None:
+        print(
+            f"wire capture: {obs.capture.recorded} messages, "
+            f"{obs.capture.total_bits} bits -> {args.capture}",
+            file=sys.stderr, flush=True,
         )
-        engine = slo_mod.SloEngine(rules, aggregator=aggregator)
-        bus.subscribe(engine.on_record)
-        for rule in rules:
-            print(f"slo rule: {rule.describe()}", file=sys.stderr, flush=True)
+    failure = obs.write_failure()
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_TELEMETRY_FAILURE
+    if obs.engine is not None:
+        for line in obs.engine.summary_lines():
+            print(line, file=sys.stderr, flush=True)
+        if obs.engine.breached:
+            return EXIT_SLO_BREACH
+    return 0
 
-    capture = None
-    capture_sink = None
-    if args.capture is not None:
-        capture = capture_mod.WireCapture(
-            meta={"kind": "serving", "server": args.name},
-            retain=args.capture_retain,
-        )
-        capture_sink = RotatingJsonlSink(
-            args.capture,
-            max_bytes=args.capture_rotate_bytes,
-            header_factory=capture.header_record,
-        )
-        capture_sink.write(capture.header_record())
-        capture.sink = capture_sink
-        capture_mod.install(capture)
 
-    metrics = None
-    if args.metrics_port is not None:
-        metrics = MetricsServer(
-            port=args.metrics_port, aggregator=aggregator
-        ).start()
-        metrics.announce("serving metrics")
-
+def _serve_until_signalled(args) -> None:
+    """Run the daemon until SIGINT/SIGTERM or a ``serve.shutdown`` op."""
     thread = ServerThread(
         host=args.host,
         port=args.port,
@@ -704,9 +707,10 @@ def main(argv=None) -> int:
     def _signal(_signum, _frame) -> None:
         stop_event.set()
 
-    signal.signal(signal.SIGINT, _signal)
-    signal.signal(signal.SIGTERM, _signal)
-
+    previous = {
+        signum: signal.signal(signum, _signal)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         # Wake on either a signal or the daemon finishing (shutdown op).
         while not stop_event.is_set() and (
@@ -715,26 +719,8 @@ def main(argv=None) -> int:
             stop_event.wait(timeout=0.2)
     finally:
         thread.stop()
-        if metrics is not None:
-            metrics.stop()
-        if capture is not None:
-            capture_mod.uninstall(capture)
-            print(
-                f"wire capture: {capture.recorded} messages, "
-                f"{capture.total_bits} bits -> {args.capture}",
-                file=sys.stderr, flush=True,
-            )
-        if capture_sink is not None:
-            capture_sink.close()
-        live_uninstall(bus)
-
-    if engine is not None:
-        breaches = engine.finish()
-        for line in engine.summary_lines():
-            print(line, file=sys.stderr, flush=True)
-        if breaches:
-            return 6
-    return 0
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

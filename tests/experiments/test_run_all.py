@@ -15,6 +15,7 @@ from repro.experiments.run_all import (
 from repro.obs import bounds
 from repro.obs.bounds import BoundSpec
 from repro.obs.report import aggregate_spans, load_events, metric_totals
+from tests.obs.released import assert_obs_released
 
 #: ``run_all --no-telemetry`` stdout; regenerate with
 #: ``PYTHONPATH=src python -m repro.experiments.run_all --no-telemetry``.
@@ -104,6 +105,17 @@ class TestTelemetry:
         path = tmp_path / "no_such_dir" / "t.jsonl"
         assert main(["e7", "--telemetry", str(path)]) == EXIT_TELEMETRY_FAILURE
         assert "cannot open telemetry sink" in capsys.readouterr().err
+        assert_obs_released()
+
+    def test_unopenable_sink_with_memory_releases_space_bounds(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "no_such_dir" / "t.jsonl"
+        assert main(
+            ["e7", "--memory", "--telemetry", str(path)]
+        ) == EXIT_TELEMETRY_FAILURE
+        assert "cannot open telemetry sink" in capsys.readouterr().err
+        assert_obs_released()
 
     def test_midrun_write_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import repro.experiments.run_all as run_all_mod

@@ -10,6 +10,7 @@ from repro.experiments.run_all import (
     EXIT_STORE_FAILURE,
     main,
 )
+from tests.obs.released import assert_obs_released
 
 
 class TestSloExitCodes:
@@ -54,6 +55,7 @@ class TestSloExitCodes:
              "--slo=baseline:metric:csr.maxflow.calls<=1.1x@HEAD"]
         ) == EXIT_STORE_FAILURE
         assert "experiment store" in capsys.readouterr().err
+        assert_obs_released()
 
 
 class TestSloTelemetry:
@@ -105,6 +107,7 @@ class TestLiveExport:
             ["e7", "--no-telemetry", "--live-export", str(export)]
         ) == 3
         assert "cannot open live export" in capsys.readouterr().err
+        assert_obs_released()
 
 
 class TestLivePort:

@@ -198,36 +198,3 @@ class TestSyntheticStore:
         proc = _cli("bisect", "--good", "HEAD~1", "--bad", "HEAD", cwd=tmp_path)
         assert proc.returncode == 1
         assert "exactly one target" in proc.stderr
-
-
-class TestMigrateCli:
-    def _legacy_db(self, tmp_path, labels):
-        db = tmp_path / ".obs" / "history.jsonl"
-        db.parent.mkdir(parents=True, exist_ok=True)
-        records = [
-            {"record": "run", "label": label, "source": "telemetry.jsonl",
-             "ingested_at": 1000.0 + i,
-             "metrics": {"oracle.queries": 100.0 + i},
-             "spans": {}, "rows": [], "bound_checks": [], "partial": False}
-            for i, label in enumerate(labels)
-        ]
-        db.write_text("".join(json.dumps(r) + "\n" for r in records))
-        return db
-
-    def test_round_trip_reported(self, tmp_path):
-        self._legacy_db(tmp_path, ["pr2", "pr3"])
-        assert _cli("init", cwd=tmp_path).returncode == 0
-        proc = _cli("migrate", cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert "round-trip verified against 2 source record(s)" in proc.stdout
-        log = _cli("log", "lines/legacy", cwd=tmp_path).stdout
-        assert "legacy ingest: pr3" in log
-        assert "legacy ingest: pr2" in log
-
-    def test_second_migration_refused(self, tmp_path):
-        self._legacy_db(tmp_path, ["pr2"])
-        assert _cli("init", cwd=tmp_path).returncode == 0
-        assert _cli("migrate", cwd=tmp_path).returncode == 0
-        proc = _cli("migrate", cwd=tmp_path)
-        assert proc.returncode == 1
-        assert "already exists" in proc.stderr

@@ -1,4 +1,4 @@
-"""Tests for the cross-run observatory: obs_db ingestion + dashboard."""
+"""Tests for the cross-run observatory dashboard."""
 
 import importlib
 import json
@@ -12,15 +12,13 @@ SCRIPTS = REPO / "scripts"
 
 
 @pytest.fixture(scope="module")
-def observatory():
-    """Import scripts/obs_db.py and scripts/obs_dashboard.py as modules."""
+def dash():
+    """Import scripts/obs_dashboard.py as a module."""
     sys.path.insert(0, str(SCRIPTS))
     try:
-        obs_db = importlib.import_module("obs_db")
-        obs_dashboard = importlib.import_module("obs_dashboard")
+        return importlib.import_module("obs_dashboard")
     finally:
         sys.path.remove(str(SCRIPTS))
-    return obs_db, obs_dashboard
 
 
 def _telemetry_events(queries=531.0, wall=0.5, with_summary=True):
@@ -48,18 +46,26 @@ def _telemetry_events(queries=531.0, wall=0.5, with_summary=True):
     return events
 
 
-def _write_telemetry(path, **kwargs):
-    events = _telemetry_events(**kwargs)
-    path.write_text("".join(json.dumps(e) + "\n" for e in events))
-    return events
+def _store_with_runs(root, queries=(531.0, 600.0)):
+    """An experiment store with one telemetry commit per query count."""
+    from repro.obs.store import ExperimentStore
+
+    store = ExperimentStore.init(root)
+    for n, value in enumerate(queries):
+        events = _telemetry_events(queries=value)
+        blob = "".join(json.dumps(e) + "\n" for e in events).encode()
+        store.commit_artifacts(
+            {"telemetry.jsonl": (blob, "telemetry")},
+            message=f"run {n}",
+            timestamp=1000.0 + n,
+        )
+    return store
 
 
 class TestCondenseRun:
-    def test_summarises_all_sections(self, observatory, tmp_path):
-        obs_db, _ = observatory
+    def test_summarises_all_sections(self, dash, tmp_path):
         events = _telemetry_events()
-        record = obs_db.condense_run(events, label="pr3", source="t.jsonl")
-        assert record["record"] == "run"
+        record = dash.condense_run(events, label="pr3", source="t.jsonl")
         assert record["label"] == "pr3"
         assert not record["partial"]
         assert record["spans"]["experiment.e3"]["count"] == 1
@@ -70,131 +76,13 @@ class TestCondenseRun:
         assert check["spec"] == "thm13.queries"
         assert "event" not in check
 
-    def test_partial_flag(self, observatory):
-        obs_db, _ = observatory
-        record = obs_db.condense_run(_telemetry_events(with_summary=False))
+    def test_partial_flag(self, dash):
+        record = dash.condense_run(_telemetry_events(with_summary=False))
         assert record["partial"]
 
 
-class TestIngestion:
-    def test_ingest_appends_one_record_per_run(
-        self, observatory, tmp_path, capsys, monkeypatch
-    ):
-        obs_db, _ = observatory
-        telemetry = tmp_path / "telemetry.jsonl"
-        db = tmp_path / ".obs" / "history.jsonl"
-        _write_telemetry(telemetry)
-        args = ["ingest", "--telemetry", str(telemetry), "--db", str(db),
-                "--label", "run-a", "--bench"]
-        monkeypatch.setattr(sys, "argv", ["obs_db.py"] + args)
-        assert obs_db.main() == 0
-        _write_telemetry(telemetry, queries=600.0)
-        # Same label again needs --force (see TestIngestion duplicate tests).
-        monkeypatch.setattr(sys, "argv", ["obs_db.py"] + args + ["--force"])
-        assert obs_db.main() == 0
-        runs = obs_db.load_history(db)
-        assert len(runs) == 2  # append-only: both ingests survive
-        assert runs[1]["metrics"]["oracle.calls"] == 600.0
-
-    def _ingest(self, obs_db, monkeypatch, telemetry, db, *extra):
-        args = ["obs_db.py", "ingest", "--telemetry", str(telemetry),
-                "--db", str(db), "--bench", *extra]
-        monkeypatch.setattr(sys, "argv", args)
-        return obs_db.main()
-
-    def test_duplicate_label_rejected(
-        self, observatory, tmp_path, capsys, monkeypatch
-    ):
-        obs_db, _ = observatory
-        telemetry = tmp_path / "t.jsonl"
-        db = tmp_path / "h.jsonl"
-        _write_telemetry(telemetry)
-        assert self._ingest(obs_db, monkeypatch, telemetry, db,
-                            "--label", "pr4") == 0
-        assert self._ingest(obs_db, monkeypatch, telemetry, db,
-                            "--label", "pr4") == 1
-        err = capsys.readouterr().err
-        assert "'pr4' is already ingested" in err
-        assert "--force" in err
-        assert len(obs_db.load_history(db)) == 1  # nothing was appended
-
-    def test_duplicate_label_allowed_with_force(
-        self, observatory, tmp_path, monkeypatch
-    ):
-        obs_db, _ = observatory
-        telemetry = tmp_path / "t.jsonl"
-        db = tmp_path / "h.jsonl"
-        _write_telemetry(telemetry)
-        assert self._ingest(obs_db, monkeypatch, telemetry, db,
-                            "--label", "pr4") == 0
-        assert self._ingest(obs_db, monkeypatch, telemetry, db,
-                            "--label", "pr4", "--force") == 0
-        assert len(obs_db.load_history(db)) == 2
-
-    def test_distinct_labels_unaffected(
-        self, observatory, tmp_path, monkeypatch
-    ):
-        obs_db, _ = observatory
-        telemetry = tmp_path / "t.jsonl"
-        db = tmp_path / "h.jsonl"
-        _write_telemetry(telemetry)
-        assert self._ingest(obs_db, monkeypatch, telemetry, db,
-                            "--label", "pr4") == 0
-        assert self._ingest(obs_db, monkeypatch, telemetry, db,
-                            "--label", "pr5") == 0
-        assert len(obs_db.load_history(db)) == 2
-
-    def test_unlabelled_ingests_never_clash(
-        self, observatory, tmp_path, monkeypatch
-    ):
-        obs_db, _ = observatory
-        telemetry = tmp_path / "t.jsonl"
-        db = tmp_path / "h.jsonl"
-        _write_telemetry(telemetry)
-        assert self._ingest(obs_db, monkeypatch, telemetry, db) == 0
-        assert self._ingest(obs_db, monkeypatch, telemetry, db) == 0
-        assert len(obs_db.load_history(db)) == 2
-
-    def test_collect_bench_extracts_gates(self, observatory, tmp_path):
-        obs_db, _ = observatory
-        bench = tmp_path / "BENCH_PRX.json"
-        bench.write_text(json.dumps(
-            {"gate": {"ratio": 1.0, "passed": True},
-             "obs_guard": {"disabled_median_s": 0.01,
-                           "enabled_over_disabled": 1.02,
-                           "cuts": 4096}}
-        ))
-        out = obs_db.collect_bench([bench])
-        assert out["BENCH_PRX.json"]["gate"]["passed"] is True
-        assert "cuts" not in out["BENCH_PRX.json"]["obs_guard"]
-
-    def test_collect_bench_tolerates_bad_file(self, observatory, tmp_path):
-        obs_db, _ = observatory
-        bad = tmp_path / "BENCH_BAD.json"
-        bad.write_text("{not json")
-        assert "error" in obs_db.collect_bench([bad])["BENCH_BAD.json"]
-
-    def test_list_runs(self, observatory, tmp_path, capsys, monkeypatch):
-        obs_db, _ = observatory
-        telemetry = tmp_path / "t.jsonl"
-        db = tmp_path / "h.jsonl"
-        _write_telemetry(telemetry)
-        monkeypatch.setattr(
-            sys, "argv",
-            ["obs_db.py", "ingest", "--telemetry", str(telemetry),
-             "--db", str(db), "--label", "xyz", "--bench"],
-        )
-        obs_db.main()
-        capsys.readouterr()
-        monkeypatch.setattr(sys, "argv", ["obs_db.py", "list", "--db", str(db)])
-        assert obs_db.main() == 0
-        out = capsys.readouterr().out
-        assert "label=xyz" in out and "violations=0" in out
-
-
 class TestAsciiPlot:
-    def test_plots_points_and_axes(self, observatory):
-        _, dash = observatory
+    def test_plots_points_and_axes(self, dash):
         lines = dash.ascii_plot(
             [("*", [(0.1, 100.0), (0.2, 25.0), (0.4, 6.0)]),
              ("o", [(0.1, 50.0), (0.4, 3.0)])]
@@ -204,31 +92,27 @@ class TestAsciiPlot:
         assert "100" in joined  # y-axis max label
         assert "0.1" in joined and "0.4" in joined  # x-axis labels
 
-    def test_overlap_marker(self, observatory):
-        _, dash = observatory
+    def test_overlap_marker(self, dash):
         lines = dash.ascii_plot(
             [("*", [(1.0, 1.0), (2.0, 2.0)]), ("o", [(1.0, 1.0)])]
         )
         assert any("@" in line for line in lines)
 
-    def test_empty_series(self, observatory):
-        _, dash = observatory
+    def test_empty_series(self, dash):
         assert dash.ascii_plot([("*", [])]) == ["(no data)"]
 
 
 class TestDashboard:
-    def _runs(self, observatory, slow_factor=1.0, queries=531.0):
-        obs_db, _ = observatory
-        base = obs_db.condense_run(_telemetry_events(), label="pr2")
-        other = obs_db.condense_run(
+    def _runs(self, dash, slow_factor=1.0, queries=531.0):
+        base = dash.condense_run(_telemetry_events(), label="pr2")
+        other = dash.condense_run(
             _telemetry_events(queries=queries, wall=0.5 * slow_factor),
             label="pr3",
         )
         return [base, other]
 
-    def test_markdown_sections(self, observatory):
-        _, dash = observatory
-        text = dash.render_markdown(self._runs(observatory))
+    def test_markdown_sections(self, dash):
+        text = dash.render_markdown(self._runs(dash))
         assert "# Observability dashboard" in text
         assert "Thm 1.1 - for-each sketch bits vs eps" in text
         assert "VERIFY-GUESS queries vs eps" in text
@@ -237,40 +121,34 @@ class TestDashboard:
         assert "Span wall-time trends" in text
         assert "Regression verdict" in text
 
-    def test_single_run_has_no_verdict(self, observatory):
-        obs_db, dash = observatory
-        runs = [obs_db.condense_run(_telemetry_events(), label="only")]
+    def test_single_run_has_no_verdict(self, dash):
+        runs = [dash.condense_run(_telemetry_events(), label="only")]
         assert "Need at least two ingested runs" in dash.render_markdown(runs)
 
-    def test_regression_flagged_on_slow_span(self, observatory):
-        _, dash = observatory
-        text = dash.render_markdown(self._runs(observatory, slow_factor=3.0))
+    def test_regression_flagged_on_slow_span(self, dash):
+        text = dash.render_markdown(self._runs(dash, slow_factor=3.0))
         assert "REGRESSION" in text
         assert "span timing regression" in text
 
-    def test_ok_verdict_when_stable(self, observatory):
-        _, dash = observatory
-        text = dash.render_markdown(self._runs(observatory))
+    def test_ok_verdict_when_stable(self, dash):
+        text = dash.render_markdown(self._runs(dash))
         assert "pr2 -> pr3: OK" in text
 
-    def test_metric_regression_flagged_above_threshold(self, observatory):
-        _, dash = observatory
+    def test_metric_regression_flagged_above_threshold(self, dash):
         # 531 -> 600 queries is a +13% move, well past the 5% band.
-        text = dash.render_markdown(self._runs(observatory, queries=600.0))
+        text = dash.render_markdown(self._runs(dash, queries=600.0))
         assert "REGRESSION" in text
         assert "1 metric regression(s): oracle.calls" in text
         assert "metric verdicts" in text
         assert "REGRESSED" in text
 
-    def test_metric_within_threshold_is_neutral(self, observatory):
-        _, dash = observatory
-        text = dash.render_markdown(self._runs(observatory, queries=531.0 * 1.04))
+    def test_metric_within_threshold_is_neutral(self, dash):
+        text = dash.render_markdown(self._runs(dash, queries=531.0 * 1.04))
         assert "pr2 -> pr3: OK" in text
         assert "NEUTRAL" in text
 
-    def test_metric_exactly_at_threshold_is_neutral(self, observatory):
-        _, dash = observatory
-        runs = self._runs(observatory)
+    def test_metric_exactly_at_threshold_is_neutral(self, dash):
+        runs = self._runs(dash)
         # Pin exact values: (105 - 100) / 100 is the 5% band edge, which
         # classify() keeps NEUTRAL.
         runs[0]["metrics"]["oracle.calls"] = 100.0
@@ -279,128 +157,58 @@ class TestDashboard:
         assert "pr2 -> pr3: OK" in text
         assert "metric regression" not in text
 
-    def test_metric_improvement_is_not_a_problem(self, observatory):
-        _, dash = observatory
-        text = dash.render_markdown(self._runs(observatory, queries=400.0))
+    def test_metric_improvement_is_not_a_problem(self, dash):
+        text = dash.render_markdown(self._runs(dash, queries=400.0))
         assert "pr2 -> pr3: OK" in text
         assert "IMPROVED" in text
 
-    def test_missing_metric_is_neutral_with_note(self, observatory):
-        _, dash = observatory
-        runs = self._runs(observatory)
+    def test_missing_metric_is_neutral_with_note(self, dash):
+        runs = self._runs(dash)
         runs[0]["metrics"]["legacy.counter"] = 5.0
         text = dash.render_markdown(runs)
         assert "pr2 -> pr3: OK" in text
         assert "legacy.counter" in text
         assert "gone" in text
 
-    def test_html_rendering(self, observatory):
-        _, dash = observatory
+    def test_html_rendering(self, dash):
         html_text = dash.render_html(
-            dash.render_markdown(self._runs(observatory))
+            dash.render_markdown(self._runs(dash))
         )
         assert html_text.startswith("<!DOCTYPE html>")
         assert "<pre>" in html_text and "</pre>" in html_text
         assert "<h1>Observability dashboard</h1>" in html_text
 
     def test_main_writes_dashboard_files(
-        self, observatory, tmp_path, capsys, monkeypatch
+        self, dash, tmp_path, capsys, monkeypatch
     ):
-        obs_db, dash = observatory
-        telemetry = tmp_path / "t.jsonl"
-        db = tmp_path / ".obs" / "history.jsonl"
-        _write_telemetry(telemetry)
-        monkeypatch.setattr(
-            sys, "argv",
-            ["obs_db.py", "ingest", "--telemetry", str(telemetry),
-             "--db", str(db), "--bench"],
-        )
-        obs_db.main()
-        monkeypatch.setattr(
-            sys, "argv", ["obs_dashboard.py", "--db", str(db), "--no-store"]
-        )
+        # The default store and output locations, both under .obs/.
+        monkeypatch.chdir(tmp_path)
+        _store_with_runs(tmp_path / ".obs" / "store")
+        monkeypatch.setattr(sys, "argv", ["obs_dashboard.py"])
         assert dash.main() == 0
-        assert (tmp_path / ".obs" / "dashboard.md").exists()
+        text = (tmp_path / ".obs" / "dashboard.md").read_text()
         assert (tmp_path / ".obs" / "dashboard.html").exists()
+        assert "Regression verdict" in text
+        # 531 -> 600 queries across the two commits is a metric regression.
+        assert "1 metric regression(s): oracle.calls" in text
 
     def test_main_errors_without_history(
-        self, observatory, tmp_path, capsys, monkeypatch
+        self, dash, tmp_path, capsys, monkeypatch
     ):
-        _, dash = observatory
         monkeypatch.setattr(
             sys, "argv",
-            ["obs_dashboard.py", "--db", str(tmp_path / "none.jsonl")],
+            ["obs_dashboard.py", "--store", str(tmp_path / "none")],
         )
         assert dash.main() == 1
         assert "no runs" in capsys.readouterr().err
 
 
 class TestStoreBackedDashboard:
-    def _store_with_runs(self, tmp_path, queries=(531.0, 600.0)):
-        from repro.obs.store import ExperimentStore
-
-        store = ExperimentStore.init(tmp_path / "store")
-        for n, value in enumerate(queries):
-            events = _telemetry_events(queries=value)
-            blob = "".join(json.dumps(e) + "\n" for e in events).encode()
-            store.commit_artifacts(
-                {"telemetry.jsonl": (blob, "telemetry")},
-                message=f"run {n}",
-                timestamp=1000.0 + n,
-            )
-        return store
-
-    def test_runs_from_store_condenses_each_commit(self, observatory, tmp_path):
-        _, dash = observatory
-        store = self._store_with_runs(tmp_path)
+    def test_runs_from_store_condenses_each_commit(self, dash, tmp_path):
+        store = _store_with_runs(tmp_path / "store")
         runs = dash.runs_from_store(store.root)
         assert len(runs) == 2
         assert runs[0]["metrics"]["oracle.calls"] == 531.0
         assert runs[1]["metrics"]["oracle.calls"] == 600.0
         assert runs[0]["source"] == "store:run 0"
         assert runs[0]["ingested_at"] == 1000.0
-
-    def test_legacy_commits_pass_through_verbatim(self, observatory, tmp_path):
-        _, dash = observatory
-        from repro.obs.store import ExperimentStore
-        from repro.obs.store.migrate import RECORD_NAME
-
-        store = ExperimentStore.init(tmp_path / "store")
-        record = {"record": "run", "label": "pr3", "ingested_at": 500.0,
-                  "metrics": {"oracle.calls": 9.0}, "spans": {}, "rows": [],
-                  "bound_checks": [], "partial": False}
-        store.commit_artifacts(
-            {RECORD_NAME: (json.dumps(record).encode(), "legacy")},
-            message="legacy ingest: pr3",
-            branch="lines/legacy",
-        )
-        runs = dash.runs_from_store(store.root, branch="lines/legacy")
-        assert runs == [record]
-
-    def test_main_prefers_store_when_present(
-        self, observatory, tmp_path, capsys, monkeypatch
-    ):
-        _, dash = observatory
-        store = self._store_with_runs(tmp_path)
-        monkeypatch.setattr(
-            sys, "argv",
-            ["obs_dashboard.py", "--store", str(store.root),
-             "--db", str(tmp_path / "absent.jsonl")],
-        )
-        assert dash.main() == 0
-        text = (tmp_path / "dashboard.md").read_text()
-        # 531 -> 600 queries across the two commits is a metric regression.
-        assert "1 metric regression(s): oracle.calls" in text
-
-    def test_no_store_flag_forces_the_flat_db(
-        self, observatory, tmp_path, capsys, monkeypatch
-    ):
-        _, dash = observatory
-        store = self._store_with_runs(tmp_path)
-        monkeypatch.setattr(
-            sys, "argv",
-            ["obs_dashboard.py", "--store", str(store.root),
-             "--db", str(tmp_path / "absent.jsonl"), "--no-store"],
-        )
-        assert dash.main() == 1
-        assert "no runs" in capsys.readouterr().err
