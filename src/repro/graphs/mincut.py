@@ -134,9 +134,11 @@ def sample_near_min_cuts(
     base_value, base_side = stoer_wagner(graph)
     found: Dict[FrozenSet[Node], float] = {base_side: base_value}
     threshold = factor * base_value if base_value > 0 else 0.0
-    # Contraction sides already contain nodes()[0], the canonical anchor.
+    # Contraction sides always contain nodes()[0], so the base cut comes
+    # back as base_side or, when that lacks the anchor, its complement.
+    base_complement = frozenset(graph.nodes()) - base_side
     for value, side in contraction_cuts(graph, attempts, ensure_rng(rng)):
-        if value <= threshold and side not in found:
+        if value <= threshold and side not in found and side != base_complement:
             found[side] = value
     return sorted(
         ((value, side) for side, value in found.items()), key=lambda item: item[0]

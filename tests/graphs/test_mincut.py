@@ -130,6 +130,19 @@ class TestNearMinCuts:
         sides = [side for _, side in cuts]
         assert len(sides) == len(set(sides))
 
+    def test_base_cut_is_not_found_again_as_its_complement(self):
+        # Stoer-Wagner returns {1, 2}; contraction sides always hold
+        # node 0, so the same cut comes back as {0}.  It is one cut.
+        g = UGraph()
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(1, 2, 2.0)
+        cuts = sample_near_min_cuts(g, factor=2.0, attempts=50, rng=0)
+        assert cuts[0] == stoer_wagner(g)
+        cuts_as_partitions = [
+            frozenset({side, frozenset(g.nodes()) - side}) for _, side in cuts
+        ]
+        assert len(cuts_as_partitions) == len(set(cuts_as_partitions))
+
     def test_factor_below_one_raises(self):
         g = random_connected_ugraph(4, rng=0)
         with pytest.raises(GraphError):
