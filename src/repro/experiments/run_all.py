@@ -74,7 +74,7 @@ from repro.experiments.harness import Table, sweep
 from repro.parallel import set_default_jobs
 from repro.obs import JsonlSink, span as obs_span
 from repro.obs import memory as obs_memory
-from repro.obs.session import (  # noqa: F401 - EXIT_* are re-exported
+from repro.obs.session import (
     EXIT_BOUND_VIOLATION,
     EXIT_SLO_BREACH,
     EXIT_STORE_FAILURE,

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -26,14 +27,14 @@ def _serve(argv):
     side = list(graph.nodes())[:5]
     errors = []
 
-    def drive():
+    def run_client():
         try:
             for _ in range(200):
                 try:
                     client = ServingClient("127.0.0.1", port).connect()
                     break
                 except OSError:
-                    threading.Event().wait(0.05)
+                    time.sleep(0.05)
             else:
                 raise AssertionError("daemon never bound its port")
             with client:
@@ -44,10 +45,11 @@ def _serve(argv):
         except Exception as exc:  # surfaced by the test body
             errors.append(exc)
 
-    driver = threading.Thread(target=drive)
-    driver.start()
+    client_thread = threading.Thread(target=run_client)
+    client_thread.start()
     rc = server.main(["--port", str(port), *argv])
-    driver.join(timeout=30)
+    client_thread.join(timeout=30)
+    assert not client_thread.is_alive()
     assert not errors, errors
     return rc
 
