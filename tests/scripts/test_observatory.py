@@ -212,3 +212,17 @@ class TestStoreBackedDashboard:
         assert runs[1]["metrics"]["oracle.calls"] == 600.0
         assert runs[0]["source"] == "store:run 0"
         assert runs[0]["ingested_at"] == 1000.0
+
+    def test_main_prefers_store_when_present(
+        self, dash, tmp_path, capsys, monkeypatch
+    ):
+        store = _store_with_runs(tmp_path / "store")
+        monkeypatch.setattr(
+            sys, "argv",
+            ["obs_dashboard.py", "--store", str(store.root),
+             "--out-dir", str(tmp_path)],
+        )
+        assert dash.main() == 0
+        text = (tmp_path / "dashboard.md").read_text()
+        # 531 -> 600 queries across the two commits is a metric regression.
+        assert "1 metric regression(s): oracle.calls" in text
