@@ -1,7 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-report bench-parallel bench-kernels \
-	bench-live bench-memory bench-serving tables trace-report api all \
+.PHONY: install test bench bench-report tables trace-report api all \
 	bounds-check dashboard wire-check obs-commit obs-diff obs-fsck \
 	obs-watch slo-check memory-check serve
 
@@ -16,21 +15,6 @@ bench:
 
 bench-report:
 	PYTHONPATH=src python scripts/bench_report.py
-
-bench-parallel:
-	PYTHONPATH=src python scripts/bench_report.py --pr5-only
-
-bench-kernels:
-	PYTHONPATH=src python scripts/bench_report.py --pr6-only
-
-bench-live:
-	PYTHONPATH=src python scripts/bench_report.py --pr8-only
-
-bench-memory:
-	PYTHONPATH=src python scripts/bench_report.py --pr9-only
-
-bench-serving:
-	PYTHONPATH=src python scripts/cut_bench.py
 
 serve:
 	PYTHONPATH=src python -m repro.serving.server --port 0 \

@@ -1,7 +1,7 @@
 """E12 — kernel backends: python reference vs compiled native kernels.
 
-The PR gate (written to BENCH_PR6.json by ``scripts/bench_report.py
---pr6-only``): the native backend must reach a >= 5x geometric-mean
+The acceptance gate (``scripts/bench_report.py --gate kernels``,
+written to ``.bench/report.json``): the native backend must reach a >= 5x geometric-mean
 speedup over the python reference across the three ported hot kernels —
 Dinic max-flow solves, Karger–Stein edge contraction, and Lemma 3.2
 coefficient decoding.  The tables here report the same workloads at

@@ -1,73 +1,72 @@
-"""Write BENCH_PR1.json and BENCH_PR2.json: timing evidence per PR.
+"""One registry of benchmark gates, written to ``.bench/report.json``.
 
-Three parts:
+Each gate is a function ``gate(quick)`` that yields checks shaped
+``{requirement, value, bound, verdict, reason}`` (plus ``details``
+holding the supporting measurements).  ``verdict`` is ``pass``,
+``fail`` or ``skipped``; a check that cannot run here (no native
+toolchain, no fork start method, too few cores, no BENCH_PR1
+baseline) reads ``skipped`` with its reason and never ``pass``.  A gate
+that raises keeps the checks it already yielded and gains one ``fail``.
 
-1. **Micro benches** (run in-process, median of repeats): the PR1 gate —
-   4096 random cuts through one ``CSRGraph.cut_weights`` call vs 4096
-   ``DiGraph.cut_weight`` calls (must be >= 5x), plus full cut
-   enumeration and sparsifier quality-evaluation timings on both
-   engines.
-2. **pytest-benchmark medians** for the suite's timed kernels
-   (cut-kernel, sparsifier quality, Theorem 1.1/1.2 pipelines), pulled
-   from a ``--benchmark-json`` run.  Skipped with ``--micro-only``
-   (the micro section alone decides the acceptance gate).
-3. **Observability guard** (the PR2 gate, written to BENCH_PR2.json):
-   the instrumented hot CSR batch loop with telemetry *disabled* must
-   stay within 5% of the BENCH_PR1 baseline — the global switch's off
-   path is one attribute load and a branch, and this keeps it honest.
-   The enabled/disabled ratio is recorded alongside for context.
+Gates, in run order:
+
+``cut_kernel``
+    one batched ``CSRGraph.cut_weights`` call on 4096 cuts is >= 5x
+    faster than 4096 ``DiGraph.cut_weight`` calls.
+``obs_guard``
+    every later observability layer imported and idle; telemetry off,
+    the guard workload stays within 1.05x of the committed BENCH_PR1
+    ``csr_batch_median_s``.
+``live``
+    a live bus + aggregator + default SLO engine costs <= 1.05x of plain
+    enabled telemetry on the spanned guard workload.
+``memory``
+    a sample-mode memory profiler takes RSS samples on the same
+    workload; its overhead is recorded.
+``slo``
+    ``run_all --slo`` exits 6 on a seeded breach and 0 on a loose rule,
+    for a ``metric:`` and an ``rss:`` spec.
+``digests``
+    ``run_all --no-telemetry`` stdout equals the golden file byte for
+    byte under python and native kernels and with a live bus, each at
+    jobs 1/2/4; ``--memory`` runs agree at jobs 1/2/4.
+``parallel``
+    16 blocking trials run >= 3x faster on 4 workers.
+``kernels``
+    native >= 5x geometric-mean speedup over the python reference.
+``transport``
+    the shared-memory result arena is >= 1.5x faster than the pickle
+    pipe.
+``serving``
+    served digest parity, >= 3x batched-vs-unbatched QPS, p99 <= 250ms
+    and k-server min-cut parity against real daemons
+    (``scripts/cut_bench.py``).
+``pytest_benchmarks``
+    the pytest-benchmark sweep runs green; its medians are recorded.
+
+The exit code is 1 if and only if a selected gate has a ``fail``.  The
+committed ``BENCH_PR*.json`` files are historical and never written.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_report.py \
-        [--micro-only] [--pr2-only] [--pr3-only]
-
-``--pr3-only`` re-times the PR2 guard with the PR3 additions (bound
-certification and the span-attributed profiler) imported but inactive
-and writes BENCH_PR3.json — the new layers must keep the disabled hot
-path within the same 5% envelope.
-
-``--pr4-only`` does the same for the PR4 additions (wire capture,
-replay, and trace export) imported with no capture installed, and
-writes BENCH_PR4.json.
-
-``--pr5-only`` gates the parallel trial-execution engine and writes
-BENCH_PR5.json: the full E1-E9 table output must be byte-identical at
-every worker count (sha256 digests at jobs 1/2/4), and a blocking
-multi-trial workload must reach >= 3x throughput on 4 workers.  A
-CPU-bound speedup is recorded alongside when the machine has >= 4
-cores, and marked skipped otherwise — fan-out cannot beat physics on a
-single-core box, and the digest gate is the determinism evidence that
-transfers across machines.
-
-``--pr6-only`` gates the native kernel escalation and writes
-BENCH_PR6.json: the native backend must reach a >= 5x geometric-mean
-speedup over the python reference across the three ported hot kernels
-(Dinic solves, edge contraction, Hadamard coefficient decode), the
-shared-memory result arena must beat the executor pickle pipe by
->= 1.5x on large numeric result tables, and the full E1-E9 stdout must
-stay byte-identical across every kernels x jobs combination.  Both
-performance gates degrade to explicit skip markers (never silent
-passes pretending to have measured) when the machine lacks a native
-toolchain, the fork start method, or — for the transport gate, whose
-win is end-to-end pipe avoidance — a second core to run workers on.
-
-``--pr8-only`` gates the live-observability substrate and writes
-BENCH_PR8.json: the PR2 disabled-path guard must still hold with the
-live/slo/exporters modules imported, the guard workload with a live
-bus + aggregator + SLO engine subscribed must stay within 5% of plain
-enabled telemetry, ``run_all --slo`` must exit 6 on a seeded breach
-and 0 otherwise, and the full E1-E9 stdout must stay byte-identical
-with worker heartbeats streaming at jobs 1/2/4.
+    PYTHONPATH=src python scripts/bench_report.py [--gate NAME ...] [--quick]
 """
 
 import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
+import math
+import os
+import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -78,10 +77,15 @@ sys.path.insert(0, str(REPO / "src"))
 from repro import obs  # noqa: E402
 from repro.graphs.cuts import all_directed_cut_values  # noqa: E402
 from repro.graphs.generators import random_balanced_digraph  # noqa: E402
+from repro.obs.session import EXIT_SLO_BREACH, session  # noqa: E402
 from repro.sketch.sparsifier import SparsifierSketch  # noqa: E402
 
+REPORT = Path(".bench") / "report.json"
+GOLDEN = Path("tests/experiments/golden/run_all_no_telemetry.txt")
+PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 GATE_CUTS = 4096
 GATE_NODES = 256
+JOBS = (1, 2, 4)
 BENCH_FILES = [
     "benchmarks/bench_cut_kernel.py",
     "benchmarks/bench_sparsifier_quality.py",
@@ -90,49 +94,34 @@ BENCH_FILES = [
 ]
 
 
-def artifact_header():
-    """Provenance stamp carried by every BENCH_*.json report.
-
-    Records which kernel backend produced the numbers and — when the
-    versioned experiment store exists — the store commit and branch the
-    repository was at, so any gate number can be traced back to the run
-    lineage it belongs to (and ``obs_store.py bisect --gate`` can trace
-    it forward again).
-    """
-    header = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    try:
-        from repro.kernels import get_backend
-
-        backend = get_backend()
-        header["kernels"] = {"name": backend.name, "source": backend.source}
-    except Exception as exc:  # an unavailable backend must not kill a report
-        header["kernels"] = {"error": str(exc)}
-    try:
-        from repro.obs.store import DEFAULT_STORE, ExperimentStore, StoreError
-
-        store_root = REPO / DEFAULT_STORE
-        if ExperimentStore.is_store(store_root):
-            store = ExperimentStore.open(store_root)
-            kind, value = store.refs.head()
-            header["store"] = {
-                "commit": store.refs.resolve_head(),
-                "branch": value if kind == "branch" else None,
-            }
-    except StoreError as exc:
-        header["store"] = {"error": str(exc)}
-    return header
+# ----------------------------------------------------------------------
+# checks and shared helpers
+# ----------------------------------------------------------------------
 
 
-def _write_report(name, report):
-    """Stamp the provenance header and write one BENCH_*.json report."""
-    report["header"] = artifact_header()
-    out_path = REPO / name
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    return out_path
+def check(requirement, value=None, bound=None, ok=True, reason=None,
+          skip=None, **details):
+    """One report entry; ``skip`` (a reason) overrides ``ok``."""
+    entry = {
+        "requirement": requirement,
+        "value": value,
+        "bound": bound,
+        "verdict": SKIPPED if skip else PASS if ok else FAIL,
+        "reason": skip or reason,
+    }
+    if details:
+        entry["details"] = details
+    return entry
 
 
-def _median_time(fn, repeats=5):
+def bounded(requirement, value, op, limit, ok=True, **kwargs):
+    """A check that ``value op limit`` holds (``op`` is ``>=`` or ``<=``)."""
+    holds = value >= limit if op == ">=" else value <= limit
+    return check(requirement, value, f"{op} {limit}", ok and holds, **kwargs)
+
+
+def median_time(fn, repeats=5):
+    """Median wall time of ``repeats`` calls of ``fn``."""
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -141,1028 +130,607 @@ def _median_time(fn, repeats=5):
     return statistics.median(samples)
 
 
-def _random_sides(graph, k, rng):
+@contextlib.contextmanager
+def environ(**values):
+    """Set environment variables for the block, then restore them."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, old in saved.items():
+            if old is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = old
+
+
+def guard_workload():
+    """The 256-node graph, 4096 random sides, and its warmed CSR batch."""
+    rng = np.random.default_rng(7)
+    graph = random_balanced_digraph(
+        GATE_NODES, beta=2.0, density=0.3, rng=GATE_NODES
+    )
     nodes = graph.nodes()
-    n = len(nodes)
     sides = []
-    for _ in range(k):
-        size = int(rng.integers(1, n))
-        picks = rng.choice(n, size=size, replace=False)
+    for _ in range(GATE_CUTS):
+        picks = rng.choice(len(nodes), size=int(rng.integers(1, len(nodes))),
+                           replace=False)
         sides.append(frozenset(nodes[i] for i in picks))
-    return sides
-
-
-def micro_benches():
-    rng = np.random.default_rng(7)
-    out = {}
-
-    # The acceptance gate: one batched kernel call vs GATE_CUTS dict calls.
-    g = random_balanced_digraph(GATE_NODES, beta=2.0, density=0.3, rng=GATE_NODES)
-    sides = _random_sides(g, GATE_CUTS, rng)
-    csr = g.freeze()
+    csr = graph.freeze()
     member = csr.membership_matrix(sides)
     csr.cut_weights(member)  # warm the dense adjacency cache
-    dict_s = _median_time(lambda: [g.cut_weight(side) for side in sides], repeats=3)
-    batch_s = _median_time(lambda: csr.cut_weights(member), repeats=5)
-    out["cut_kernel_4096"] = {
-        "nodes": GATE_NODES,
-        "edges": g.num_edges,
-        "cuts": GATE_CUTS,
-        "dict_loop_median_s": dict_s,
-        "csr_batch_median_s": batch_s,
-        "speedup": dict_s / batch_s,
-    }
-
-    # Full 2^(n-1) directed cut enumeration, both engines.
-    g16 = random_balanced_digraph(16, beta=2.0, density=0.5, rng=16)
-    dict_enum = _median_time(
-        lambda: list(all_directed_cut_values(g16, engine="dict")), repeats=3
-    )
-    csr_enum = _median_time(
-        lambda: list(all_directed_cut_values(g16, engine="csr")), repeats=3
-    )
-    out["cut_enumeration_n16"] = {
-        "nodes": 16,
-        "cuts": 2 ** 15 - 1,
-        "dict_engine_median_s": dict_enum,
-        "csr_engine_median_s": csr_enum,
-        "speedup": dict_enum / csr_enum,
-    }
-
-    # Sparsifier quality evaluation: every cut error via query_many vs query.
-    gq = random_balanced_digraph(14, beta=2.0, density=0.5, rng=14)
-    sketch = SparsifierSketch(gq, 0.5, rng=3, constant=0.4)
-    pairs = list(all_directed_cut_values(gq, engine="csr"))
-    eval_sides = [side for side, _ in pairs]
-
-    def looped():
-        return [sketch.query(set(side)) for side in eval_sides]
-
-    def batched():
-        return sketch.query_many(eval_sides)
-
-    loop_s = _median_time(looped, repeats=3)
-    batch_q = _median_time(batched, repeats=3)
-    out["sparsifier_quality_n14"] = {
-        "nodes": 14,
-        "cuts": len(eval_sides),
-        "query_loop_median_s": loop_s,
-        "query_many_median_s": batch_q,
-        "speedup": loop_s / batch_q,
-    }
-    return out
+    return graph, sides, csr, member
 
 
-def obs_guard():
-    """Time the hot CSR batch loop with telemetry off and on.
-
-    Returns the BENCH_PR2 payload.  The gate compares the disabled-path
-    timing against the committed BENCH_PR1 baseline when one exists
-    (same benchmark, same machine class); the enabled run uses the
-    global registry with no sink, i.e. pure metering cost.
-    """
-    rng = np.random.default_rng(7)
-    g = random_balanced_digraph(GATE_NODES, beta=2.0, density=0.3, rng=GATE_NODES)
-    sides = _random_sides(g, GATE_CUTS, rng)
-    csr = g.freeze()
-    member = csr.membership_matrix(sides)
-    csr.cut_weights(member)  # warm the dense adjacency cache
-
-    obs.disable()
-    disabled_s = _median_time(lambda: csr.cut_weights(member), repeats=9)
-    with obs.enabled():
-        enabled_s = _median_time(lambda: csr.cut_weights(member), repeats=9)
-        obs.reset_metrics()
-
-    out = {
-        "nodes": GATE_NODES,
-        "edges": g.num_edges,
-        "cuts": GATE_CUTS,
-        "disabled_median_s": disabled_s,
-        "enabled_median_s": enabled_s,
-        "enabled_over_disabled": enabled_s / disabled_s,
-    }
-    baseline_path = REPO / "BENCH_PR1.json"
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-        pr1 = (
-            baseline.get("micro", {})
-            .get("cut_kernel_4096", {})
-            .get("csr_batch_median_s")
-        )
-        if pr1:
-            out["pr1_baseline_s"] = pr1
-            out["disabled_over_pr1"] = disabled_s / pr1
-    return out
+def pr1_baseline():
+    """The committed BENCH_PR1 ``csr_batch_median_s``, or ``None``."""
+    try:
+        data = json.loads((REPO / "BENCH_PR1.json").read_text())
+        return float(data["micro"]["cut_kernel_4096"]["csr_batch_median_s"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
-def pytest_benchmark_medians():
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        json_path = handle.name
-    cmd = [
-        sys.executable,
-        "-m",
-        "pytest",
-        *BENCH_FILES,
-        "--benchmark-only",
-        f"--benchmark-json={json_path}",
-        "-q",
-    ]
-    proc = subprocess.run(
-        cmd,
-        cwd=REPO,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        return {"error": proc.stdout[-2000:] + proc.stderr[-2000:]}
-    data = json.loads(Path(json_path).read_text())
-    return {
-        bench["fullname"]: {"median_s": bench["stats"]["median"]}
-        for bench in data["benchmarks"]
-    }
+def session_overhead(**wiring):
+    """Spanned guard workload under ``session(**wiring)`` vs plain
+    enabled telemetry: ``(session, plain_s, wired_s)``."""
+    _, _, csr, member = guard_workload()
+
+    def spanned():
+        with obs.span("bench.cut_weights"):
+            csr.cut_weights(member)
+
+    with session(enable=True):
+        plain_s = median_time(spanned, repeats=9)
+    with session(**wiring) as wired:
+        wired_s = median_time(spanned, repeats=9)
+    return wired, plain_s, wired_s
 
 
-def write_pr2_report():
-    guard = obs_guard()
-    ratio = guard.get("disabled_over_pr1", guard["enabled_over_disabled"])
-    report = {
-        "obs_guard": guard,
-        "gate": {
-            "requirement": (
-                "instrumented cut_weights on 4096 cuts, telemetry disabled, "
-                "within 5% of the BENCH_PR1 baseline"
-            ),
-            "ratio": ratio,
-            "passed": ratio <= 1.05,
-        },
-    }
-    _write_report("BENCH_PR2.json", report)
-    print(
-        f"obs guard ratio: {ratio:.3f}x "
-        f"({'PASS' if report['gate']['passed'] else 'FAIL'})"
-    )
-
-
-def write_pr3_report():
-    """The PR3 gate: the PR2 guard must still hold with the bound-
-    certification and profiler modules imported (profiler constructed
-    but never started) — importing the new observability layers must
-    not put anything on the disabled hot path.
-    """
-    from repro.obs import bounds, profile  # noqa: F401
-
-    profiler = profile.SpanProfiler()  # imported and instantiated, never started
-    assert not profiler.running
-    guard = obs_guard()
-    ratio = guard.get("disabled_over_pr1", guard["enabled_over_disabled"])
-    report = {
-        "obs_guard": guard,
-        "profiler_imported": True,
-        "profiler_running": profiler.running,
-        "bound_specs_registered": len(bounds.registered_specs()),
-        "gate": {
-            "requirement": (
-                "instrumented cut_weights on 4096 cuts, telemetry disabled, "
-                "profiler module imported but off, within 5% of the "
-                "BENCH_PR1 baseline"
-            ),
-            "ratio": ratio,
-            "passed": ratio <= 1.05,
-        },
-    }
-    _write_report("BENCH_PR3.json", report)
-    print(
-        f"obs guard ratio (profiler imported): {ratio:.3f}x "
-        f"({'PASS' if report['gate']['passed'] else 'FAIL'})"
-    )
-
-
-def write_pr4_report():
-    """The PR4 gate: the guard must still hold with the wire-capture,
-    replay, and export modules imported but no capture installed — the
-    capture hook is one list-truthiness check on the hot path, and the
-    export/replay layers must stay entirely off it.
-    """
-    from repro.obs import capture, export, replay  # noqa: F401
-
-    assert capture.active() is None  # imported, nothing installed
-    guard = obs_guard()
-    ratio = guard.get("disabled_over_pr1", guard["enabled_over_disabled"])
-    report = {
-        "obs_guard": guard,
-        "capture_imported": True,
-        "capture_installed": capture.active() is not None,
-        "replay_families": list(replay.GAME_FAMILIES),
-        "gate": {
-            "requirement": (
-                "instrumented cut_weights on 4096 cuts, telemetry disabled, "
-                "wire capture module imported but not installed, within 5% "
-                "of the BENCH_PR1 baseline"
-            ),
-            "ratio": ratio,
-            "passed": ratio <= 1.05,
-        },
-    }
-    _write_report("BENCH_PR4.json", report)
-    print(
-        f"obs guard ratio (capture imported): {ratio:.3f}x "
-        f"({'PASS' if report['gate']['passed'] else 'FAIL'})"
-    )
-
-
-def _run_all_digest(jobs, kernels=None, live=False, memory=False):
-    """Sha256 of the complete E1-E9 stdout at a given worker count.
-
-    ``live=True`` installs a live bus + aggregator around the run —
-    turning worker heartbeats and parent-side tick draining on — to
-    prove the live path never touches stdout (the PR8 digest gate).
-    ``memory=True`` turns the measured-space profiler on, so footprint
-    sizes feed the ``*.space_bytes`` bound checks that print on stdout
-    — the PR9 digest gate proves those measurements are deterministic
-    across worker counts.
-    """
-    import contextlib
-    import hashlib
-    import io
-
+def run_all_quiet(argv):
+    """``run_all.main(argv)`` with stdout captured: ``(rc, stdout)``."""
     from repro.experiments.run_all import main as run_all_main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = run_all_main(argv)
+    return rc, buf.getvalue()
+
+
+def run_all_digest(*flags, live=False):
+    """Sha256 of the complete E1-E9 ``--no-telemetry`` stdout.
+
+    ``live=True`` installs a bus + aggregator around the run, so worker
+    heartbeats and parent-side tick draining are on while telemetry
+    (and with it the bound-check lines) stays off.
+    """
     from repro.obs import live as live_mod
 
-    argv = ["--no-telemetry"]
-    if jobs is not None:
-        argv += ["--jobs", str(jobs)]
-    if kernels is not None:
-        argv += ["--kernels", kernels]
-    if memory:
-        argv += ["--memory"]
-    buf = io.StringIO()
-    live_cm = (
-        live_mod.publishing(live_mod.LiveBus())
-        if live
-        else contextlib.nullcontext()
-    )
-    with live_cm as bus, contextlib.redirect_stdout(buf):
-        if bus is not None:
+    with contextlib.ExitStack() as stack:
+        if live:
+            bus = stack.enter_context(live_mod.publishing())
             live_mod.LiveAggregator().attach(bus)
-        rc = run_all_main(argv)
+        rc, text = run_all_quiet(["--no-telemetry", *flags])
     if rc != 0:
-        raise RuntimeError(
-            f"run_all failed with jobs={jobs}, kernels={kernels} (rc={rc})"
-        )
-    text = buf.getvalue()
-    digest = {
-        "jobs": 1 if jobs is None else jobs,
+        raise RuntimeError(f"run_all {' '.join(flags)} exited {rc}")
+    return {
+        "flags": list(flags),
         "bytes": len(text),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
-    if kernels is not None:
-        digest["kernels"] = kernels
-    if live:
-        digest["live"] = True
-    if memory:
-        digest["memory"] = True
-    return digest
 
 
-def _blocking_trial_pr5(rng):
+def slo_exit_code(experiment, spec, *flags):
+    """Exit code of ``run_all --slo=spec`` on one experiment."""
+    with tempfile.TemporaryDirectory() as tmp:
+        telemetry = os.path.join(tmp, "telemetry.jsonl")
+        rc, _ = run_all_quiet(
+            ["--telemetry", telemetry, *flags, f"--slo={spec}", experiment]
+        )
+    return rc
+
+
+def native_missing():
+    """Why the native kernels cannot load here, or ``None``."""
+    from repro.kernels import KernelUnavailableError, native_cc
+
+    try:
+        native_cc.load()
+    except KernelUnavailableError as exc:
+        return f"no native toolchain: {exc}"
+    return None
+
+
+# ----------------------------------------------------------------------
+# gates
+# ----------------------------------------------------------------------
+
+
+def gate_cut_kernel(quick):
+    graph, sides, csr, member = guard_workload()
+    dict_s = median_time(lambda: [graph.cut_weight(s) for s in sides], 3)
+    batch_s = median_time(lambda: csr.cut_weights(member))
+
+    # Recorded alongside: full 2^15 cut enumeration on both engines, and
+    # sparsifier quality evaluation through query_many vs looped query.
+    g16 = random_balanced_digraph(16, beta=2.0, density=0.5, rng=16)
+    enum = {
+        engine: median_time(
+            lambda: list(all_directed_cut_values(g16, engine=engine)), 3
+        )
+        for engine in ("dict", "csr")
+    }
+    g14 = random_balanced_digraph(14, beta=2.0, density=0.5, rng=14)
+    sketch = SparsifierSketch(g14, 0.5, rng=3, constant=0.4)
+    eval_sides = [side for side, _ in all_directed_cut_values(g14, engine="csr")]
+    loop_s = median_time(lambda: [sketch.query(set(s)) for s in eval_sides], 3)
+    many_s = median_time(lambda: sketch.query_many(eval_sides), 3)
+    yield bounded(
+        f"cut_weights on {GATE_CUTS} cuts vs looped cut_weight (speedup)",
+        dict_s / batch_s, ">=", 5.0,
+        nodes=GATE_NODES, edges=graph.num_edges,
+        dict_loop_median_s=dict_s, csr_batch_median_s=batch_s,
+        cut_enumeration_n16={
+            "dict_engine_median_s": enum["dict"],
+            "csr_engine_median_s": enum["csr"],
+            "speedup": enum["dict"] / enum["csr"],
+        },
+        sparsifier_quality_n14={
+            "cuts": len(eval_sides),
+            "query_loop_median_s": loop_s,
+            "query_many_median_s": many_s,
+            "speedup": loop_s / many_s,
+        },
+    )
+
+
+def gate_obs_guard(quick):
+    from repro.obs import (  # noqa: F401 - imported to prove they are free
+        bounds, capture, export, exporters, live, memory, profile, replay,
+        slo,
+    )
+
+    active = [
+        name
+        for name, on in (
+            ("bounds", bounds.active()),
+            ("capture", capture.active() is not None),
+            ("live", live.active() is not None),
+            ("memory", memory.active() is not None),
+            ("profile", sys.getprofile() is not None),
+        )
+        if on
+    ]
+    yield check(
+        "bounds, profile, capture, export, replay, live, slo, exporters "
+        "and memory imported with none active",
+        active, [], not active, reason=f"active: {active}" if active else None,
+    )
+    requirement = (
+        f"instrumented cut_weights on {GATE_CUTS} cuts, telemetry disabled, "
+        "every obs layer imported, over the BENCH_PR1 baseline"
+    )
+    baseline = pr1_baseline()
+    if baseline is None:
+        yield check(requirement, bound="<= 1.05", skip="no BENCH_PR1 baseline")
+        return
+    _, _, csr, member = guard_workload()
+    obs.disable()
+    disabled_s = median_time(lambda: csr.cut_weights(member), repeats=9)
+    with session(enable=True):
+        enabled_s = median_time(lambda: csr.cut_weights(member), repeats=9)
+    yield bounded(
+        requirement, disabled_s / baseline, "<=", 1.05,
+        pr1_baseline_s=baseline, disabled_median_s=disabled_s,
+        enabled_median_s=enabled_s,
+        enabled_over_disabled=enabled_s / disabled_s,
+    )
+
+
+def gate_live(quick):
+    wired, plain_s, live_s = session_overhead(slo="")
+    errors = wired.bus.errors
+    yield bounded(
+        f"spanned cut_weights on {GATE_CUTS} cuts with a live bus, "
+        "aggregator and default SLO engine, over plain enabled telemetry",
+        live_s / plain_s, "<=", 1.05,
+        ok=not errors, reason=f"subscriber errors: {errors}" if errors else None,
+        plain_enabled_median_s=plain_s, live_enabled_median_s=live_s,
+        bus_records=wired.bus.published,
+    )
+
+
+def gate_memory(quick):
+    from repro.obs import memory
+
+    wired, plain_s, sample_s = session_overhead(memory_mode=memory.SAMPLE)
+    yield bounded(
+        f"RSS samples taken by a sample-mode memory profiler during "
+        f"spanned cut_weights on {GATE_CUTS} cuts (overhead recorded)",
+        wired.memory.rss_record()["samples"], ">=", 1,
+        plain_enabled_median_s=plain_s, sample_mode_median_s=sample_s,
+        overhead_ratio=sample_s / plain_s,
+    )
+
+
+def gate_slo(quick):
+    for experiment, flags, tight, loose in (
+        ("e3", (), "metric:oracle.query.neighbor<=10",
+         "metric:oracle.query.neighbor<=1000000000"),
+        ("e1", ("--memory",), "rss:<=1000", "rss:<=1000000000000"),
+    ):
+        rcs = [slo_exit_code(experiment, spec, *flags) for spec in (tight, loose)]
+        want = [EXIT_SLO_BREACH, 0]
+        yield check(
+            f"run_all {' '.join(flags + ('--slo',))} exits "
+            f"{EXIT_SLO_BREACH} on {tight!r} and 0 on {loose!r}",
+            rcs, want, rcs == want,
+        )
+
+
+def gate_digests(quick):
+    golden = hashlib.sha256((REPO / GOLDEN).read_bytes()).hexdigest()
+    no_native = native_missing()
+    with environ(REPRO_HEARTBEAT_S="0"):  # heartbeats on every trial
+        for label, flags, live, skip in (
+            ("python kernels", ("--kernels", "python"), False, None),
+            ("native kernels", ("--kernels", "native"), False, no_native),
+            ("a live bus and heartbeats", (), True, None),
+        ):
+            requirement = (
+                f"run_all --no-telemetry stdout with {label} at jobs "
+                f"1/2/4 equals {GOLDEN} byte for byte"
+            )
+            if skip:
+                yield check(requirement, bound=golden, skip=skip)
+                continue
+            runs = [run_all_digest("--jobs", str(j), *flags, live=live)
+                    for j in JOBS]
+            shas = sorted({run["sha256"] for run in runs})
+            yield check(requirement, shas, golden, shas == [golden], runs=runs)
+
+        runs = [run_all_digest("--jobs", str(j), "--memory") for j in JOBS]
+        shas = sorted({run["sha256"] for run in runs})
+        yield check(
+            "run_all --no-telemetry --memory stdout (measured space_bytes "
+            "bound checks included) byte-identical at jobs 1/2/4",
+            len(shas), 1, len(shas) == 1, runs=runs,
+        )
+
+
+def _blocking_trial(rng):
     time.sleep(0.35)
     return float(rng.random())
 
 
-def _cpu_trial_pr5(rng):
+def _cpu_trial(rng):
     total = 0
     for value in rng.integers(0, 1 << 16, size=20000).tolist():
         total = (total * 31 + value) % 1000003
     return total
 
 
-def write_pr5_report():
-    """The PR5 gate: parallel fan-out is fast AND invisible in results."""
-    import os
-
+def gate_parallel(quick):
     from repro.parallel import fork_available, run_trials
 
-    report = {}
+    requirement = "16 blocking trials (0.35s each) on 4 workers vs serial (speedup)"
+    cpu_requirement = "16 CPU-bound trials on 4 workers vs serial (speedup, recorded)"
+    if not fork_available():
+        yield check(requirement, bound=">= 3.0", skip="fork start method unavailable")
+        yield check(cpu_requirement, skip="fork start method unavailable")
+        return
 
-    # Determinism gate: byte-identical E1-E9 output at every worker count.
-    digests = [_run_all_digest(jobs) for jobs in (None, 2, 4)]
-    identical = len({d["sha256"] for d in digests}) == 1
-    report["run_all_digests"] = digests
-    report["digest_gate"] = {
-        "requirement": "full E1-E9 stdout byte-identical at jobs 1/2/4",
-        "passed": identical,
-    }
+    results = {}
 
-    # Throughput gate: a blocking multi-trial workload (the distributed
-    # experiment shape — trials dominated by waiting) on 4 workers.
-    def timed(jobs):
-        start = time.perf_counter()
-        results = run_trials(
-            _blocking_trial_pr5, 16, np.random.default_rng(1), jobs=jobs
+    def blocking(jobs):
+        results[jobs] = run_trials(
+            _blocking_trial, 16, np.random.default_rng(1), jobs=jobs
         )
-        return time.perf_counter() - start, results
 
-    if fork_available():
-        serial_s, serial_results = timed(1)
-        parallel_s, parallel_results = timed(4)
-        speedup = serial_s / parallel_s
-        report["blocking_workload"] = {
-            "trials": 16,
-            "sleep_per_trial_s": 0.35,
-            "serial_median_s": serial_s,
-            "jobs4_median_s": parallel_s,
-            "speedup": speedup,
-            "results_identical": parallel_results == serial_results,
-        }
-        report["throughput_gate"] = {
-            "requirement": "16 blocking trials >= 3x faster on 4 workers",
-            "speedup": speedup,
-            "passed": speedup >= 3.0 and parallel_results == serial_results,
-        }
-    else:
-        report["throughput_gate"] = {
-            "requirement": "16 blocking trials >= 3x faster on 4 workers",
-            "skipped": "fork start method unavailable",
-            "passed": True,
-        }
-
-    # CPU-bound scaling: informative on >= 4 physical cores, marked
-    # skipped (not failed) below that — single-core fan-out cannot beat
-    # physics, and the digest gate carries the determinism evidence.
+    serial_s = median_time(lambda: blocking(1), repeats=1)
+    jobs4_s = median_time(lambda: blocking(4), repeats=1)
+    same = results[1] == results[4]
+    yield bounded(
+        requirement, serial_s / jobs4_s, ">=", 3.0, ok=same,
+        reason=None if same else "4-worker results differ from serial",
+        serial_s=serial_s, jobs4_s=jobs4_s,
+    )
+    # CPU-bound fan-out cannot beat physics below 4 cores; the digest
+    # gate carries the determinism evidence there.
     cores = os.cpu_count() or 1
-    if fork_available() and cores >= 4:
-        def timed_cpu(jobs):
-            start = time.perf_counter()
-            run_trials(
-                _cpu_trial_pr5, 16, np.random.default_rng(2), jobs=jobs
-            )
-            return time.perf_counter() - start
+    if cores < 4:
+        yield check(cpu_requirement, skip="skipped_insufficient_cores")
+        return
 
-        cpu_serial = min(timed_cpu(1) for _ in range(3))
-        cpu_parallel = min(timed_cpu(4) for _ in range(3))
-        report["cpu_workload"] = {
-            "cores": cores,
-            "serial_best_s": cpu_serial,
-            "jobs4_best_s": cpu_parallel,
-            "speedup": cpu_serial / cpu_parallel,
-        }
-    else:
-        report["cpu_workload"] = {
-            "cores": cores,
-            "skipped": "skipped_insufficient_cores"
-            if fork_available()
-            else "fork start method unavailable",
-        }
-
-    passed = (
-        report["digest_gate"]["passed"]
-        and report["throughput_gate"]["passed"]
-    )
-    report["gate"] = {
-        "requirement": (
-            "byte-identical E1-E9 digests at jobs 1/2/4 AND >= 3x on the "
-            "blocking 4-worker workload"
-        ),
-        "passed": passed,
-    }
-    _write_report("BENCH_PR5.json", report)
-    print(
-        "digest gate: %s; throughput gate: %s"
-        % (
-            "PASS" if report["digest_gate"]["passed"] else "FAIL",
-            "PASS" if report["throughput_gate"]["passed"] else "FAIL",
+    def cpu(jobs):
+        return median_time(
+            lambda: run_trials(_cpu_trial, 16, np.random.default_rng(2),
+                               jobs=jobs),
+            repeats=3,
         )
-    )
-    if not passed:
-        sys.exit(1)
+
+    cpu_serial, cpu_jobs4 = cpu(1), cpu(4)
+    yield check(cpu_requirement, cpu_serial / cpu_jobs4,
+                serial_median_s=cpu_serial, jobs4_median_s=cpu_jobs4)
 
 
-def _geomean(values):
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
-def write_pr6_report():
-    """The PR6 gate: native kernels are fast, equal, and optional."""
-    import os
-
-    from repro.graphs.generators import random_balanced_digraph
-    from repro.kernels import (
-        KernelUnavailableError,
-        reference,
-        using_backend,
-    )
+def gate_kernels(quick):
+    from repro.kernels import get_backend, using_backend
     from repro.linalg.hadamard import Lemma32Matrix
+
+    requirement = (
+        "native over python reference on dinic + contraction + hadamard "
+        "decode (geometric-mean speedup)"
+    )
+    missing = native_missing()
+    if missing:
+        yield check(requirement, bound=">= 5.0", skip=missing)
+        return
+
+    csr = random_balanced_digraph(200, beta=2.0, density=0.15, rng=200).freeze()
+    gen = np.random.default_rng(12)
+    n, m = 400, 12000
+    tails = gen.integers(0, n, size=m).astype(np.int64)
+    heads = ((tails + 1 + gen.integers(0, n - 1, size=m)) % n).astype(np.int64)
+    weights = gen.random(m) + 0.5
+    uniforms = gen.random(n)
+    matrix = Lemma32Matrix(16)
+    x = gen.integers(-30, 30, size=matrix.row_length).astype(np.float64)
+    workloads = {
+        # 5 max-flow solves on an n=200 balanced digraph
+        "dinic": lambda: [csr.max_flow(0, t).value for t in range(1, 6)],
+        # full contraction to 2 supernodes, n=400 m=12000
+        "contraction": lambda: get_backend().contract_to(
+            tails, heads, weights, np.arange(n, dtype=np.int64), n, 2,
+            uniforms,
+        ),
+        # 225 single-coefficient decodes, side=16
+        "hadamard_decode": lambda: [
+            matrix.decode_coefficient(x, t) for t in range(matrix.num_rows)
+        ],
+    }
+    timings, equal = {}, True
+    for name, fn in workloads.items():
+        seconds, outputs = {}, []
+        for backend in ("python", "native"):
+            with using_backend(backend):
+                seconds[f"{backend}_s"] = median_time(fn, repeats=3)
+                outputs.append(fn())
+        equal = equal and outputs[0] == outputs[1]
+        timings[name] = {**seconds,
+                         "speedup": seconds["python_s"] / seconds["native_s"]}
+    geomean = math.prod(t["speedup"] for t in timings.values()) ** (
+        1 / len(timings)
+    )
+    yield bounded(
+        requirement, geomean, ">=", 5.0, ok=equal,
+        reason=None if equal else "native outputs differ from the reference",
+        kernels=timings,
+    )
+
+
+def gate_transport(quick):
     from repro.parallel import TrialPool, fork_available, shmipc
 
-    report = {}
-
-    try:
-        from repro.kernels import native_cc
-
-        nat = native_cc.load()
-    except KernelUnavailableError as exc:
-        nat = None
-        report["native_toolchain"] = f"unavailable: {exc}"
-    else:
-        report["native_toolchain"] = f"{nat.source} ({nat.meta})"
-
-    def best(fn, repeats=3):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    # Kernel gate: >= 5x geomean over the three ported hot kernels.
-    if nat is not None:
-        kernels = {}
-
-        g = random_balanced_digraph(200, beta=2.0, density=0.15, rng=200)
-        csr = g.freeze()
-
-        def dinic():
-            return [csr.max_flow(0, t).value for t in range(1, 6)]
-
-        with using_backend("python"):
-            py_s, py_values = best(dinic), dinic()
-        with using_backend("native"):
-            nat_s, nat_values = best(dinic), dinic()
-        assert py_values == nat_values
-        kernels["dinic"] = {
-            "workload": "5 max-flow solves, n=200 balanced digraph",
-            "python_s": py_s,
-            "native_s": nat_s,
-            "speedup": py_s / nat_s,
-        }
-
-        gen = np.random.default_rng(12)
-        n, m = 400, 12000
-        tails = gen.integers(0, n, size=m).astype(np.int64)
-        heads = ((tails + 1 + gen.integers(0, n - 1, size=m)) % n).astype(
-            np.int64
-        )
-        weights = gen.random(m) + 0.5
-        uniforms = gen.random(n)
-
-        def contract(kernel):
-            parent = np.arange(n, dtype=np.int64)
-            return kernel(tails, heads, weights, parent, n, 2, uniforms)
-
-        py_s = best(lambda: contract(reference.contract_to))
-        nat_s = best(lambda: contract(nat.contract_to))
-        assert contract(reference.contract_to) == contract(nat.contract_to)
-        kernels["contraction"] = {
-            "workload": "full contraction to 2 supernodes, n=400 m=12000",
-            "python_s": py_s,
-            "native_s": nat_s,
-            "speedup": py_s / nat_s,
-        }
-
-        matrix = Lemma32Matrix(16)
-        x = gen.integers(-30, 30, size=matrix.row_length).astype(np.float64)
-
-        def decode():
-            return [
-                matrix.decode_coefficient(x, t)
-                for t in range(matrix.num_rows)
-            ]
-
-        with using_backend("python"):
-            py_s, py_coeffs = best(decode), decode()
-        with using_backend("native"):
-            nat_s, nat_coeffs = best(decode), decode()
-        assert py_coeffs == nat_coeffs
-        kernels["hadamard_decode"] = {
-            "workload": "225 single-coefficient decodes, side=16",
-            "python_s": py_s,
-            "native_s": nat_s,
-            "speedup": py_s / nat_s,
-        }
-
-        geomean = _geomean([k["speedup"] for k in kernels.values()])
-        report["kernels"] = kernels
-        report["kernel_gate"] = {
-            "requirement": (
-                "native >= 5x geometric-mean speedup over the python "
-                "reference on dinic + contraction + hadamard decode"
-            ),
-            "geomean_speedup": geomean,
-            "passed": geomean >= 5.0,
-        }
-    else:
-        report["kernel_gate"] = {
-            "requirement": (
-                "native >= 5x geometric-mean speedup over the python "
-                "reference on dinic + contraction + hadamard decode"
-            ),
-            "skipped": "no native toolchain (no C compiler)",
-            "passed": True,
-        }
-
-    # Transport gate: shared-memory result tables vs the pickle pipe.
-    # The win is pipe avoidance, so it is only observable end-to-end;
-    # on a single core the forked workers and the parent fight for the
-    # same CPU and the measurement is scheduler noise, so (PR5
-    # precedent) the numbers are recorded but the gate is skipped.
-    transport_requirement = (
-        "shared-memory arena >= 1.5x (median of 5) over the pickle "
-        "pipe on 96 x 2MiB numeric results"
+    requirement = (
+        "shared-memory arena over the pickle pipe on 96 x 2MiB numeric "
+        "results (speedup, median of 5)"
     )
-    cores = os.cpu_count() or 1
-    if fork_available():
-        os.environ[shmipc.SHM_SLOT_ENV] = str(128 << 20)
+    if not fork_available():
+        yield check(requirement, bound=">= 1.5", skip="fork start method unavailable")
+        return
 
-        def payload(i):
-            return np.full(262144, float(i))  # 2 MiB per result
+    def payload(i):
+        return np.full(262144, float(i))  # 2 MiB per result
 
-        items = list(range(96))
-
-        def timed_transport(enabled):
-            os.environ[shmipc.SHM_ENV] = "1" if enabled else "0"
+    def timed(shm):
+        with environ(**{shmipc.SHM_ENV: "1" if shm else "0",
+                        shmipc.SHM_SLOT_ENV: str(128 << 20)}):
             pool = TrialPool(jobs=2, chunk_factor=2)
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                pool.map(payload, items)
-                times.append(time.perf_counter() - start)
-            return statistics.median(times), dict(pool.last_transport_stats)
+            seconds = median_time(lambda: pool.map(payload, list(range(96))))
+            return seconds, dict(pool.last_transport_stats)
 
-        try:
-            pickle_s, pickle_stats = timed_transport(False)
-            shm_s, shm_stats = timed_transport(True)
-        finally:
-            os.environ.pop(shmipc.SHM_ENV, None)
-            os.environ.pop(shmipc.SHM_SLOT_ENV, None)
-        speedup = pickle_s / shm_s
-        report["transport"] = {
-            "trials": len(items),
-            "bytes_per_result": 262144 * 8,
-            "pickle_median_s": pickle_s,
-            "shm_median_s": shm_s,
-            "pickle_stats": pickle_stats,
-            "shm_stats": shm_stats,
-            "speedup": speedup,
-        }
-        if cores >= 2:
-            report["transport_gate"] = {
-                "requirement": transport_requirement,
-                "speedup": speedup,
-                "passed": speedup >= 1.5
-                and shm_stats["pickle_chunks"] == 0
-                and pickle_stats["shm_chunks"] == 0,
-            }
-        else:
-            report["transport_gate"] = {
-                "requirement": transport_requirement,
-                "speedup": speedup,
-                "skipped": "skipped_insufficient_cores",
-                "passed": True,
-            }
-    else:
-        report["transport_gate"] = {
-            "requirement": transport_requirement,
-            "skipped": "fork start method unavailable",
-            "passed": True,
-        }
+    pickle_s, pickle_stats = timed(False)
+    shm_s, shm_stats = timed(True)
+    pure = shm_stats["pickle_chunks"] == 0 and pickle_stats["shm_chunks"] == 0
+    # The win is pipe avoidance, observable only end to end: on one core
+    # the workers and the parent fight for the CPU, so it cannot show.
+    cores = os.cpu_count() or 1
+    yield bounded(
+        requirement, pickle_s / shm_s, ">=", 1.5, ok=pure,
+        reason=None if pure else "a run fell back to the other transport",
+        skip="skipped_insufficient_cores" if cores < 2 else None,
+        pickle_median_s=pickle_s, shm_median_s=shm_s,
+        pickle_stats=pickle_stats, shm_stats=shm_stats,
+    )
 
-    # Determinism gate: byte-identical E1-E9 output across every
-    # backend x worker-count combination.
-    backends = ["python"] + (["native"] if nat is not None else [])
-    digests = [
-        _run_all_digest(jobs, kernels=backend)
-        for backend in backends
-        for jobs in (None, 2, 4)
+
+def gate_serving(quick):
+    import cut_bench  # next to this script, so on sys.path
+
+    workdir = REPO / ".bench" / "serving"
+    workdir.mkdir(parents=True, exist_ok=True)
+    direct, served = cut_bench.parity_digests(workdir)
+    shas = sorted({direct, *(d for entry in served.values() for d in entry.values())})
+    yield check(
+        "served cut values byte-identical to in-process cut_weights_stable "
+        "across batched/unbatched servers and the cut_weights batch op "
+        "(canonical-JSON sha256)",
+        shas, direct, shas == [direct], served=served,
+    )
+
+    per_stream = cut_bench.REQUESTS_PER_STREAM // (4 if quick else 1)
+    unbatched = cut_bench.measure_config(
+        "unbatched", workdir, cut_bench.UNBATCHED, per_stream
+    )
+    batched = cut_bench.measure_config(
+        "batched", workdir, cut_bench.BATCHED, per_stream
+    )
+    # On one core the load generator and the daemon timeshare the CPU,
+    # so the ratio reflects scheduler interleaving, not serving capacity.
+    cores = os.cpu_count() or 1
+    yield bounded(
+        "batched vs unbatched QPS on the concurrent closed-loop workload",
+        batched["qps"] / unbatched["qps"] if unbatched["qps"] else 0.0,
+        ">=", 3.0,
+        skip="skipped_insufficient_cores" if cores < 2 else None,
+        unbatched=unbatched, batched=batched,
+    )
+    yield bounded(
+        "batched closed-loop p99 latency (ms) at the sustained QPS",
+        batched["latency_ms"]["p99"], "<=", cut_bench.P99_BOUND_MS,
+        sustained_qps=batched["qps"], open_loop=cut_bench.open_loop(workdir),
+    )
+
+    reference, served = cut_bench.kserver_min_cut(workdir, quick)
+    fields = ("value", "sketch_bits", "query_bits")
+    want = {f: getattr(reference, f) for f in fields}
+    got = {f: getattr(served, f) for f in fields}
+    same_side = set(served.side) == set(reference.side)
+    yield check(
+        "distributed_min_cut over 3 daemon processes returns the in-process "
+        "value/side/sketch_bits/query_bits",
+        got, want, got == want and same_side,
+        reason=None if same_side else "served min-cut side differs",
+    )
+
+
+def gate_pytest_benchmarks(quick):
+    requirement = f"pytest-benchmark sweep over {', '.join(BENCH_FILES)} exits 0"
+    if importlib.util.find_spec("pytest_benchmark") is None:
+        yield check(requirement, skip="pytest-benchmark not installed")
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = os.path.join(tmp, "benchmarks.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", *BENCH_FILES, "--benchmark-only",
+             f"--benchmark-json={json_path}", "-q"],
+            cwd=REPO,
+            env={"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")},
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            yield check(requirement, proc.returncode, 0, False,
+                        reason=(proc.stdout + proc.stderr)[-2000:])
+            return
+        data = json.loads(Path(json_path).read_text())
+    yield check(
+        requirement, proc.returncode, 0,
+        medians_s={b["fullname"]: b["stats"]["median"] for b in data["benchmarks"]},
+    )
+
+
+GATES = {
+    "cut_kernel": gate_cut_kernel,
+    "obs_guard": gate_obs_guard,
+    "live": gate_live,
+    "memory": gate_memory,
+    "slo": gate_slo,
+    "digests": gate_digests,
+    "parallel": gate_parallel,
+    "kernels": gate_kernels,
+    "transport": gate_transport,
+    "serving": gate_serving,
+    "pytest_benchmarks": gate_pytest_benchmarks,
+}
+
+
+# ----------------------------------------------------------------------
+# report
+# ----------------------------------------------------------------------
+
+
+def header():
+    """Machine and provenance stamp carried by every report."""
+    from repro.kernels import KernelUnavailableError, get_backend
+    from repro.obs.store import DEFAULT_STORE, ExperimentStore, StoreError
+
+    out = {
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+    try:
+        backend = get_backend()
+        out["kernels"] = {"name": backend.name, "source": backend.source}
+    except KernelUnavailableError as exc:
+        out["kernels"] = {"error": str(exc)}
+    try:
+        store_root = REPO / DEFAULT_STORE
+        if ExperimentStore.is_store(store_root):
+            store = ExperimentStore.open(store_root)
+            kind, value = store.refs.head()
+            out["store"] = {
+                "commit": store.refs.resolve_head(),
+                "branch": value if kind == "branch" else None,
+            }
+    except StoreError as exc:
+        out["store"] = {"error": str(exc)}
+    return out
+
+
+def _shown(value):
+    if isinstance(value, float):
+        return f"{value:.3g}"
+    text = value if isinstance(value, str) else json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def run_gate(name, quick):
+    """Every check the gate yields; an exception becomes one ``fail``."""
+    checks = []
+    try:
+        for entry in GATES[name](quick):
+            checks.append(entry)
+    except Exception as exc:  # one broken gate must not hide the others
+        traceback.print_exc()
+        checks.append(check(f"gate {name} runs to completion", ok=False,
+                            reason=f"{type(exc).__name__}: {exc}"))
+    return checks
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--gate", action="extend", nargs="+", choices=list(GATES),
+        metavar="NAME",
+        help=f"gates to run (default: all): {', '.join(GATES)}",
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="CI-sized serving run (fewer requests, smaller k-server graph)",
+    )
+    args = parser.parse_args(argv)
+
+    report = {"header": header(), "gates": {}}
+    for name in dict.fromkeys(args.gate or GATES):
+        print(f"== {name} ==", flush=True)
+        report["gates"][name] = run_gate(name, args.quick)
+        for entry in report["gates"][name]:
+            line = f"{entry['verdict'].upper():7} {entry['requirement']}"
+            if entry["value"] is not None:
+                line += f": {_shown(entry['value'])}"
+            if entry["bound"] is not None:
+                line += f" (bound {_shown(entry['bound'])})"
+            if entry["reason"]:
+                line += f" - {entry['reason'].splitlines()[-1]}"
+            print(line, flush=True)
+
+    out = REPO / REPORT
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    failed = [
+        name
+        for name, checks in report["gates"].items()
+        if any(entry["verdict"] == FAIL for entry in checks)
     ]
-    identical = len({d["sha256"] for d in digests}) == 1
-    report["run_all_digests"] = digests
-    report["digest_gate"] = {
-        "requirement": (
-            "full E1-E9 stdout byte-identical across kernels "
-            f"{backends} x jobs 1/2/4"
-        ),
-        "passed": identical,
-    }
-
-    passed = (
-        report["kernel_gate"]["passed"]
-        and report["transport_gate"]["passed"]
-        and report["digest_gate"]["passed"]
-    )
-    report["gate"] = {
-        "requirement": (
-            ">= 5x kernel geomean AND >= 1.5x shm transport AND "
-            "byte-identical digests across backends and worker counts"
-        ),
-        "passed": passed,
-    }
-    _write_report("BENCH_PR6.json", report)
-    print(
-        "kernel gate: %s; transport gate: %s; digest gate: %s"
-        % (
-            "PASS"
-            if report["kernel_gate"]["passed"]
-            else "FAIL",
-            "PASS"
-            if report["transport_gate"]["passed"]
-            else "FAIL",
-            "PASS" if report["digest_gate"]["passed"] else "FAIL",
-        )
-    )
-    if not passed:
-        sys.exit(1)
-
-
-def write_pr8_report():
-    """The PR8 gates: the live-observability substrate must be free
-    when idle and near-free when watching.
-
-    1. Disabled path unchanged: the PR2 obs guard still holds with the
-       live/slo/exporters modules imported but no bus installed.
-    2. Live path <= 1.05x: the same workload, spans flowing, with a bus
-       + aggregator + SLO engine subscribed vs. plain enabled telemetry.
-    3. run_all --slo exits 6 on a seeded breach and 0 otherwise.
-    4. E1-E9 stdout digests stay byte-identical with heartbeats on at
-       jobs 1/2/4 (and equal to the no-live serial digest).
-    """
-    import contextlib
-    import io
-    import os
-    import tempfile
-
-    from repro.experiments.run_all import EXIT_SLO_BREACH
-    from repro.experiments.run_all import main as run_all_main
-    from repro.obs import exporters, live, slo  # noqa: F401
-
-    assert live.active() is None  # imported, nothing installed
-    guard = obs_guard()
-    ratio = guard.get("disabled_over_pr1", guard["enabled_over_disabled"])
-    report = {"obs_guard": guard}
-    report["disabled_gate"] = {
-        "requirement": (
-            "instrumented cut_weights on 4096 cuts, telemetry disabled, "
-            "live/slo/exporters modules imported but no bus installed, "
-            "within 5% of the BENCH_PR1 baseline"
-        ),
-        "ratio": ratio,
-        "passed": ratio <= 1.05,
-    }
-
-    # Live-enabled overhead: the guard workload wrapped in a span (so
-    # records actually flow through the sink.emit tee) with telemetry
-    # on — once bare, once with a bus + aggregator + default-rule SLO
-    # engine subscribed.
-    rng = np.random.default_rng(7)
-    g = random_balanced_digraph(
-        GATE_NODES, beta=2.0, density=0.3, rng=GATE_NODES
-    )
-    sides = _random_sides(g, GATE_CUTS, rng)
-    csr = g.freeze()
-    member = csr.membership_matrix(sides)
-    csr.cut_weights(member)  # warm the dense adjacency cache
-
-    def spanned():
-        with obs.span("bench.cut_weights"):
-            csr.cut_weights(member)
-
-    with obs.enabled():
-        plain_s = _median_time(spanned, repeats=9)
-        obs.reset_metrics()
-    bus = live.LiveBus()
-    aggregator = live.LiveAggregator().attach(bus)
-    slo.SloEngine(slo.default_rules(), aggregator=aggregator).attach(bus)
-    with obs.enabled(), live.publishing(bus):
-        live_s = _median_time(spanned, repeats=9)
-        obs.reset_metrics()
-    live_ratio = live_s / plain_s
-    report["live_path"] = {
-        "plain_enabled_median_s": plain_s,
-        "live_enabled_median_s": live_s,
-        "bus_records": bus.published,
-        "subscriber_errors": len(bus.errors),
-    }
-    report["live_gate"] = {
-        "requirement": (
-            "spanned cut_weights on 4096 cuts with a live bus, "
-            "aggregator, and SLO engine subscribed within 5% of plain "
-            "enabled telemetry"
-        ),
-        "ratio": live_ratio,
-        "passed": live_ratio <= 1.05 and not bus.errors,
-    }
-
-    # Seeded SLO breach: a deliberately tight metric threshold on E3
-    # must exit 6; a loose one must exit 0.
-    def slo_rc(spec):
-        buf = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            argv = [
-                "--telemetry",
-                os.path.join(tmp, "telemetry.jsonl"),
-                f"--slo={spec}",
-                "e3",
-            ]
-            with contextlib.redirect_stdout(buf):
-                return run_all_main(argv)
-
-    tight_rc = slo_rc("metric:oracle.query.neighbor<=10")
-    loose_rc = slo_rc("metric:oracle.query.neighbor<=1000000000")
-    report["slo_exit"] = {"tight_rc": tight_rc, "loose_rc": loose_rc}
-    report["slo_gate"] = {
-        "requirement": (
-            f"run_all --slo exits {EXIT_SLO_BREACH} on a seeded breach "
-            "and 0 otherwise"
-        ),
-        "passed": tight_rc == EXIT_SLO_BREACH and loose_rc == 0,
-    }
-
-    # Heartbeat digest gate: full E1-E9 stdout with a bus installed and
-    # every-trial heartbeats must stay byte-identical across worker
-    # counts — and identical to the no-live serial run.
-    os.environ["REPRO_HEARTBEAT_S"] = "0"  # beat on every trial
-    try:
-        baseline = _run_all_digest(None)
-        live_digests = [
-            _run_all_digest(jobs, live=True) for jobs in (None, 2, 4)
-        ]
-    finally:
-        os.environ.pop("REPRO_HEARTBEAT_S", None)
-    shas = {d["sha256"] for d in live_digests} | {baseline["sha256"]}
-    report["run_all_digests"] = [baseline] + live_digests
-    report["digest_gate"] = {
-        "requirement": (
-            "full E1-E9 stdout byte-identical with heartbeats on at "
-            "jobs 1/2/4 and equal to the no-live serial digest"
-        ),
-        "passed": len(shas) == 1,
-    }
-
-    passed = (
-        report["disabled_gate"]["passed"]
-        and report["live_gate"]["passed"]
-        and report["slo_gate"]["passed"]
-        and report["digest_gate"]["passed"]
-    )
-    report["gate"] = {
-        "requirement": (
-            "disabled path unchanged AND live bus + SLO <= 1.05x AND "
-            "seeded --slo exit codes AND heartbeat digests identical"
-        ),
-        "passed": passed,
-    }
-    _write_report("BENCH_PR8.json", report)
-    print(
-        "disabled gate: %s; live gate: %s (%.3fx); slo gate: %s; "
-        "digest gate: %s"
-        % (
-            "PASS" if report["disabled_gate"]["passed"] else "FAIL",
-            "PASS" if report["live_gate"]["passed"] else "FAIL",
-            live_ratio,
-            "PASS" if report["slo_gate"]["passed"] else "FAIL",
-            "PASS" if report["digest_gate"]["passed"] else "FAIL",
-        )
-    )
-    if not passed:
-        sys.exit(1)
-
-
-def write_pr9_report():
-    """The PR9 gates: measured-space observability must be free when
-    off and deterministic when on.
-
-    1. Disabled path unchanged: the PR2 obs guard still holds with the
-       memory module imported but no profiler active.
-    2. Sampling-mode overhead recorded: the spanned guard workload with
-       a sample-mode profiler running vs. plain enabled telemetry (the
-       RSS sampler lives on its own thread, so this is informational —
-       the hard gate is the disabled path).
-    3. run_all --memory --slo exits 6 on a seeded rss:/mem: breach and
-       0 on a loose one.
-    4. E1-E9 stdout digests — including every ``*.space_bytes`` bound
-       check printed from measured footprints — stay byte-identical
-       with --memory on at jobs 1/2/4.
-    """
-    import contextlib
-    import io
-    import os
-    import tempfile
-
-    from repro.experiments.run_all import EXIT_SLO_BREACH
-    from repro.experiments.run_all import main as run_all_main
-    from repro.obs import memory
-
-    assert memory.active() is None  # imported, nothing profiling
-    guard = obs_guard()
-    ratio = guard.get("disabled_over_pr1", guard["enabled_over_disabled"])
-    report = {"obs_guard": guard}
-    report["disabled_gate"] = {
-        "requirement": (
-            "instrumented cut_weights on 4096 cuts, telemetry disabled, "
-            "memory module imported but no profiler active, within 5% "
-            "of the BENCH_PR1 baseline"
-        ),
-        "ratio": ratio,
-        "passed": ratio <= 1.05,
-    }
-
-    # Sampling-mode overhead: the spanned guard workload with a
-    # sample-mode profiler (background RSS thread + span boundary
-    # checkpoints) vs. plain enabled telemetry.  Recorded, not gated.
-    rng = np.random.default_rng(7)
-    g = random_balanced_digraph(
-        GATE_NODES, beta=2.0, density=0.3, rng=GATE_NODES
-    )
-    sides = _random_sides(g, GATE_CUTS, rng)
-    csr = g.freeze()
-    member = csr.membership_matrix(sides)
-    csr.cut_weights(member)  # warm the dense adjacency cache
-
-    def spanned():
-        with obs.span("bench.cut_weights"):
-            csr.cut_weights(member)
-
-    with obs.enabled():
-        plain_s = _median_time(spanned, repeats=9)
-        obs.reset_metrics()
-    with obs.enabled(), memory.profiling(mode=memory.SAMPLE) as profiler:
-        sample_s = _median_time(spanned, repeats=9)
-        obs.reset_metrics()
-    sample_ratio = sample_s / plain_s
-    report["sampling_overhead"] = {
-        "plain_enabled_median_s": plain_s,
-        "sample_mode_median_s": sample_s,
-        "ratio": sample_ratio,
-        "rss_samples": profiler.rss_record()["samples"],
-    }
-
-    # Seeded SLO breach: an unreachably tight rss: ceiling (any live
-    # process has more than 1000 resident bytes) must exit 6; a loose
-    # one must exit 0.  Both run with --memory so the aggregator
-    # actually has RSS records to judge.
-    def slo_rc(spec):
-        buf = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            argv = [
-                "--telemetry",
-                os.path.join(tmp, "telemetry.jsonl"),
-                "--memory",
-                f"--slo={spec}",
-                "e1",
-            ]
-            with contextlib.redirect_stdout(buf):
-                return run_all_main(argv)
-
-    tight_rc = slo_rc("rss:<=1000")
-    loose_rc = slo_rc("rss:<=1000000000000")
-    report["slo_exit"] = {"tight_rc": tight_rc, "loose_rc": loose_rc}
-    report["slo_gate"] = {
-        "requirement": (
-            f"run_all --memory --slo exits {EXIT_SLO_BREACH} on a "
-            "seeded rss: breach and 0 otherwise"
-        ),
-        "passed": tight_rc == EXIT_SLO_BREACH and loose_rc == 0,
-    }
-
-    # Memory digest gate: full E1-E9 stdout with --memory on (footprint
-    # measurements feeding the *.space_bytes bound checks) must stay
-    # byte-identical across worker counts.  Compared among themselves:
-    # the extra bound-check lines mean the text legitimately differs
-    # from a no-memory run.
-    os.environ["REPRO_HEARTBEAT_S"] = "0"  # beat on every trial
-    try:
-        digests = [
-            _run_all_digest(jobs, memory=True) for jobs in (None, 2, 4)
-        ]
-    finally:
-        os.environ.pop("REPRO_HEARTBEAT_S", None)
-    report["run_all_digests"] = digests
-    report["digest_gate"] = {
-        "requirement": (
-            "full E1-E9 stdout (measured space_bytes bound checks "
-            "included) byte-identical with --memory at jobs 1/2/4"
-        ),
-        "passed": len({d["sha256"] for d in digests}) == 1,
-    }
-
-    passed = (
-        report["disabled_gate"]["passed"]
-        and report["slo_gate"]["passed"]
-        and report["digest_gate"]["passed"]
-    )
-    report["gate"] = {
-        "requirement": (
-            "disabled path unchanged AND seeded --memory --slo exit "
-            "codes AND memory digests identical at jobs 1/2/4"
-        ),
-        "passed": passed,
-    }
-    _write_report("BENCH_PR9.json", report)
-    print(
-        "disabled gate: %s; sampling overhead: %.3fx (recorded); "
-        "slo gate: %s; digest gate: %s"
-        % (
-            "PASS" if report["disabled_gate"]["passed"] else "FAIL",
-            sample_ratio,
-            "PASS" if report["slo_gate"]["passed"] else "FAIL",
-            "PASS" if report["digest_gate"]["passed"] else "FAIL",
-        )
-    )
-    if not passed:
-        sys.exit(1)
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--micro-only",
-        action="store_true",
-        help="skip the pytest-benchmark suite run",
-    )
-    parser.add_argument(
-        "--pr2-only",
-        action="store_true",
-        help="only run the observability guard and write BENCH_PR2.json",
-    )
-    parser.add_argument(
-        "--pr3-only",
-        action="store_true",
-        help="only run the profiler-imported guard and write BENCH_PR3.json",
-    )
-    parser.add_argument(
-        "--pr4-only",
-        action="store_true",
-        help="only run the capture-imported guard and write BENCH_PR4.json",
-    )
-    parser.add_argument(
-        "--pr5-only",
-        action="store_true",
-        help="only run the parallel-engine gates and write BENCH_PR5.json",
-    )
-    parser.add_argument(
-        "--pr6-only",
-        action="store_true",
-        help="only run the kernel-backend gates and write BENCH_PR6.json",
-    )
-    parser.add_argument(
-        "--pr8-only",
-        action="store_true",
-        help="only run the live-observability gates and write "
-        "BENCH_PR8.json",
-    )
-    parser.add_argument(
-        "--pr9-only",
-        action="store_true",
-        help="only run the measured-space observability gates and "
-        "write BENCH_PR9.json",
-    )
-    args = parser.parse_args()
-
-    if args.pr9_only:
-        write_pr9_report()
-        return
-
-    if args.pr8_only:
-        write_pr8_report()
-        return
-
-    if args.pr6_only:
-        write_pr6_report()
-        return
-
-    if args.pr5_only:
-        write_pr5_report()
-        return
-
-    if args.pr4_only:
-        write_pr4_report()
-        return
-
-    if args.pr3_only:
-        write_pr3_report()
-        return
-
-    if not args.pr2_only:
-        report = {"micro": micro_benches()}
-        if not args.micro_only:
-            report["pytest_benchmarks"] = pytest_benchmark_medians()
-
-        gate = report["micro"]["cut_kernel_4096"]["speedup"]
-        report["gate"] = {
-            "requirement": "cut_weights on 4096 cuts >= 5x faster than looped cut_weight",
-            "speedup": gate,
-            "passed": gate >= 5.0,
-        }
-
-        _write_report("BENCH_PR1.json", report)
-        print(f"gate speedup: {gate:.1f}x ({'PASS' if gate >= 5.0 else 'FAIL'})")
-
-    write_pr2_report()
+    print(f"wrote {out}")
+    print(f"failed gates: {', '.join(failed)}" if failed else "no gate failed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

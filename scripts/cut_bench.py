@@ -1,43 +1,18 @@
-"""Load generator and acceptance gates for the serving tier (PR 10).
+"""Daemons, workload and load generator for the ``serving`` gate.
 
-Boots real ``python -m repro.serving.server`` daemons on ephemeral
-ports (bound addresses learned from their stderr announcements), drives
-them with a multi-process load generator, and writes
-``BENCH_PR10.json`` with four gates:
-
-1. **Digest parity** — every served cut value must be byte-identical
-   to direct in-process :meth:`CSRGraph.cut_weights_stable` evaluation
-   (canonical-JSON sha256 over the value lists, so a single last-ulp
-   wobble fails the gate).  Checked for the batched server, the
-   unbatched server, and the explicit ``cut_weights`` batch op.
-2. **Throughput** — the batched daemon must serve the concurrent
-   closed-loop workload at >= 3x the unbatched daemon's QPS.  On a
-   machine with < 2 cores the comparison cannot isolate the server
-   (client and daemon timeshare one CPU), so the gate records its
-   measured speedup and is marked ``skipped_insufficient_cores`` —
-   the digest gate still proves both paths serve identical bytes.
-3. **p99 SLO** — the batched run's end-to-end p99 latency must stay
-   under the bound the daemon's own SLO rule uses
-   (``span:serve.request:p99<=0.25`` by default), at the sustained
-   QPS the report records.
-4. **k-server min-cut** — Theorem 5.7 across three real daemon
-   processes (``host_shards`` + ``distributed_min_cut`` over
-   ``RemoteShard`` adapters) must return the identical value, side,
-   sketch bits, and query bits as the in-process simulation.
+``scripts/bench_report.py --gate serving`` drives these: real
+``python -m repro.serving.server`` daemons on ephemeral ports (bound
+addresses learned from their stderr announcements), a multi-process
+load generator, and the k-server min-cut run across three daemons.
 
 Load modes: closed-loop (each of P procs x C streams keeps one request
-in flight — the throughput gate's workload) and open-loop (requests
+in flight; the throughput gate's workload) and open-loop (requests
 issued on a fixed schedule regardless of completions, the arrival
 model that surfaces queueing delay honestly; reported alongside).
-
-Usage::
-
-    PYTHONPATH=src python scripts/cut_bench.py [--quick] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import multiprocessing as mp
@@ -45,15 +20,14 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from queue import Empty
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-sys.path.insert(0, str(REPO / "scripts"))
-
-from bench_report import _write_report  # noqa: E402
 
 from repro.graphs.generators import random_regularish_ugraph  # noqa: E402
 from repro.obs.announce import read_announcement  # noqa: E402
@@ -66,10 +40,15 @@ GRAPH_DEGREE = 8
 GRAPH_SEED = 5
 SIDE_POOL = 64
 SIDE_SEED = 42
-DEFAULT_PROCS = 2
-DEFAULT_STREAMS = 24
-DEFAULT_REQUESTS = 150  # per stream, closed-loop
-DEFAULT_P99_BOUND_S = 0.25
+PROCS = 2
+STREAMS = 24
+REQUESTS_PER_STREAM = 150  # closed-loop
+# The bound of the daemon's own default SLO rule, span:serve.request:p99<=0.25.
+P99_BOUND_MS = 250.0
+OPEN_LOOP_QPS = 500.0  # per process
+OPEN_LOOP_S = 3.0
+# A load-generator process that gives no result within this is dead or hung.
+LOADGEN_TIMEOUT_S = 120.0
 BATCHED = {"max_batch": 256, "window_s": 0.002}
 UNBATCHED = {"max_batch": 1, "window_s": 0.0}
 
@@ -104,27 +83,41 @@ class Daemon:
 
     def __init__(self, tag: str, workdir: Path, max_batch: int, window_s: float):
         self.log = workdir / f"server_{tag}.log"
+        self.stderr = self.log.open("w")
+        self.proc = None
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src")
-        self.proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.serving.server",
-                "--port", "0",
-                "--max-batch", str(max_batch),
-                "--batch-window-s", str(window_s),
-            ],
-            stderr=self.log.open("w"),
-            env=env,
-        )
-        url = read_announcement(self.log, "serving", timeout_s=30.0)
+        try:
+            self.proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.serving.server",
+                    "--port", "0",
+                    "--max-batch", str(max_batch),
+                    "--batch-window-s", str(window_s),
+                ],
+                stderr=self.stderr,
+                env=env,
+            )
+            url = read_announcement(self.log, "serving", timeout_s=30.0)
+        except BaseException:
+            self.stop()
+            raise
         self.host, port = url.replace("tcp://", "").rsplit(":", 1)
         self.port = int(port)
 
     def stop(self) -> None:
-        self.proc.terminate()
-        self.proc.wait(timeout=10)
+        try:
+            if self.proc is not None:
+                self.proc.terminate()
+                try:
+                    self.proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    self.proc.kill()
+                    self.proc.wait()
+        finally:
+            self.stderr.close()
 
     def __enter__(self) -> "Daemon":
         return self
@@ -213,9 +206,22 @@ def _run_workers(target, args_per_worker):
     start = time.perf_counter()
     for p in procs:
         p.start()
-    results = [queue.get() for _ in procs]
-    for p in procs:
-        p.join()
+    try:
+        # Drained before the joins below: joining a process that still
+        # has queued output can deadlock.
+        results = [queue.get(timeout=LOADGEN_TIMEOUT_S) for _ in procs]
+    except BaseException as exc:
+        for p in procs:
+            p.terminate()
+        if isinstance(exc, Empty):
+            raise RuntimeError(
+                f"a load-generator process gave no result within "
+                f"{LOADGEN_TIMEOUT_S:.0f}s"
+            ) from None
+        raise
+    finally:
+        for p in procs:
+            p.join()
     wall = time.perf_counter() - start
     total = sum(r[1] for r in results)
     latencies = sorted(x for r in results for x in r[3])
@@ -241,22 +247,27 @@ def _latency_stats(latencies):
 
 
 # ----------------------------------------------------------------------
-# gates
+# measurements
 # ----------------------------------------------------------------------
 
 
-def measure_config(tag, workdir, config, procs, streams, per_stream):
+def _warm(daemon):
+    """Register the workload graph and answer a few reads, so a timed
+    window measures serving, not registration."""
+    graph, sides = build_workload()
+    with ServingClient(daemon.host, daemon.port) as client:
+        oid = client.register_graph(graph)
+        for side in sides[:8]:
+            client.cut_weight(oid, side)
+
+
+def measure_config(tag, workdir, config, per_stream):
+    """Closed-loop QPS and latency of one daemon configuration."""
     with Daemon(tag, workdir, config["max_batch"], config["window_s"]) as d:
-        # Warm the snapshot cache so the timed window measures serving,
-        # not registration.
-        graph, sides = build_workload()
-        with ServingClient(d.host, d.port) as client:
-            oid = client.register_graph(graph)
-            for side in sides[:8]:
-                client.cut_weight(oid, side)
+        _warm(d)
         result = _run_workers(
             _closed_loop_worker,
-            [(d.host, d.port, streams, per_stream, w) for w in range(procs)],
+            [(d.host, d.port, STREAMS, per_stream, w) for w in range(PROCS)],
         )
         with ServingClient(d.host, d.port) as client:
             stats = client.stats()
@@ -265,226 +276,64 @@ def measure_config(tag, workdir, config, procs, streams, per_stream):
             k: stats["cache"][k] for k in ("hits", "misses", "hit_rate")
         }
         result["config"] = dict(config)
+        result["procs"], result["streams"] = PROCS, STREAMS
+        result["requests_per_stream"] = per_stream
         return result
 
 
-def parity_gate(workdir, quick):
-    """Served values vs direct in-process evaluation, digest-checked."""
+def open_loop(workdir):
+    """Achieved QPS and latency under fixed-schedule arrivals."""
+    with Daemon("openloop", workdir, **BATCHED) as d:
+        _warm(d)
+        result = _run_workers(
+            _open_loop_worker,
+            [(d.host, d.port, OPEN_LOOP_QPS, OPEN_LOOP_S, w)
+             for w in range(PROCS)],
+        )
+    result["offered_qps"] = OPEN_LOOP_QPS * PROCS
+    return result
+
+
+def parity_digests(workdir):
+    """Digest of direct in-process ``cut_weights_stable`` values, and of
+    the values served one at a time and through the ``cut_weights``
+    batch op by a batched and an unbatched daemon."""
     graph, sides = build_workload()
     csr = graph.freeze()
     member = csr.membership_matrix([frozenset(s) for s in sides])
-    direct = csr.cut_weights_stable(member)
-    expected = values_digest(direct)
-    checks = {}
+    direct = values_digest(csr.cut_weights_stable(member))
+    served = {}
     for tag, config in (("batched", BATCHED), ("unbatched", UNBATCHED)):
         with Daemon(f"parity_{tag}", workdir, **config) as d:
             with ServingClient(d.host, d.port) as client:
                 oid = client.register_graph(graph)
                 single = [client.cut_weight(oid, side) for side in sides]
                 batch_op = client.cut_weights(oid, sides)
-        checks[tag] = {
+        served[tag] = {
             "single_digest": values_digest(single),
             "batch_op_digest": values_digest(batch_op),
         }
-    digests = {expected}
-    for entry in checks.values():
-        digests.update(entry.values())
-    return {
-        "requirement": (
-            "served cut values byte-identical to in-process "
-            "cut_weights_stable across batched/unbatched servers and "
-            "the cut_weights batch op (canonical-JSON sha256)"
-        ),
-        "direct_digest": expected,
-        "served": checks,
-        "passed": len(digests) == 1,
-    }
+    return direct, served
 
 
-def kserver_gate(workdir, quick):
-    """Thm 5.7 across 3 daemons == the in-process simulation."""
+def kserver_min_cut(workdir, quick):
+    """Thm 5.7 in process and across 3 daemons: ``(reference, served)``."""
     from repro.distributed.coordinator import distributed_min_cut
     from repro.distributed.server import partition_edges
     from repro.serving.remote import host_shards
 
-    n = 32 if quick else 48
-    graph = random_regularish_ugraph(n, 4, rng=3)
+    graph = random_regularish_ugraph(32 if quick else 48, 4, rng=3)
     local = partition_edges(graph, 3, rng=123)
     reference = distributed_min_cut(local, epsilon=0.3, rng=77)
-
-    daemons = [Daemon(f"shard{i}", workdir, 64, 0.002) for i in range(3)]
-    try:
+    with ExitStack() as stack:
+        daemons = [
+            stack.enter_context(Daemon(f"shard{i}", workdir, 64, 0.002))
+            for i in range(3)
+        ]
         clients = [
-            ServingClient(d.host, d.port, name=f"coord-{i}").connect()
+            stack.enter_context(ServingClient(d.host, d.port, name=f"coord-{i}"))
             for i, d in enumerate(daemons)
         ]
-        try:
-            shards = host_shards(clients, graph, num_servers=3, rng=123)
-            served = distributed_min_cut(shards, epsilon=0.3, rng=77)
-        finally:
-            for c in clients:
-                c.close()
-    finally:
-        for d in daemons:
-            d.stop()
-
-    same = (
-        served.value == reference.value
-        and set(served.side) == set(reference.side)
-        and served.sketch_bits == reference.sketch_bits
-        and served.query_bits == reference.query_bits
-    )
-    return {
-        "requirement": (
-            "distributed_min_cut over 3 real daemon processes returns "
-            "the identical value/side/sketch_bits/query_bits as the "
-            "in-process simulation"
-        ),
-        "in_process": {
-            "value": reference.value,
-            "sketch_bits": reference.sketch_bits,
-            "query_bits": reference.query_bits,
-        },
-        "served": {
-            "value": served.value,
-            "sketch_bits": served.sketch_bits,
-            "query_bits": served.query_bits,
-        },
-        "side_equal": set(served.side) == set(reference.side),
-        "passed": same,
-    }
-
-
-# ----------------------------------------------------------------------
-# main
-# ----------------------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (fewer requests, smaller graphs)")
-    parser.add_argument("--procs", type=int, default=DEFAULT_PROCS)
-    parser.add_argument("--streams", type=int, default=DEFAULT_STREAMS)
-    parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS,
-                        help="closed-loop requests per stream")
-    parser.add_argument("--p99-bound-s", type=float, default=DEFAULT_P99_BOUND_S)
-    parser.add_argument("--open-loop-rate", type=float, default=500.0,
-                        help="per-process open-loop arrival rate (QPS)")
-    parser.add_argument("--open-loop-duration-s", type=float, default=3.0)
-    parser.add_argument("--skip-open-loop", action="store_true")
-    parser.add_argument("--out", default="BENCH_PR10.json")
-    args = parser.parse_args(argv)
-
-    per_stream = max(10, args.requests // (4 if args.quick else 1))
-    workdir = REPO / ".serving-bench"
-    workdir.mkdir(exist_ok=True)
-    cores = os.cpu_count() or 1
-
-    report = {
-        "workload": {
-            "graph": {"n": GRAPH_N, "degree": GRAPH_DEGREE, "seed": GRAPH_SEED},
-            "side_pool": SIDE_POOL,
-            "procs": args.procs,
-            "streams_per_proc": args.streams,
-            "requests_per_stream": per_stream,
-            "cores": cores,
-        }
-    }
-
-    print("== digest parity ==", flush=True)
-    report["parity_gate"] = parity_gate(workdir, args.quick)
-    print(f"parity: {'PASS' if report['parity_gate']['passed'] else 'FAIL'}")
-
-    print("== closed-loop throughput (batched vs unbatched) ==", flush=True)
-    unbatched = measure_config(
-        "unbatched", workdir, UNBATCHED, args.procs, args.streams, per_stream
-    )
-    batched = measure_config(
-        "batched", workdir, BATCHED, args.procs, args.streams, per_stream
-    )
-    speedup = batched["qps"] / unbatched["qps"] if unbatched["qps"] else 0.0
-    report["closed_loop"] = {"unbatched": unbatched, "batched": batched}
-    throughput = {
-        "requirement": ">= 3x batched-vs-unbatched QPS on the concurrent workload",
-        "speedup": speedup,
-    }
-    if cores < 2:
-        # One core: the load generator and the daemon timeshare the
-        # CPU, so the measured ratio reflects scheduler interleaving,
-        # not serving capacity.  Same convention as the PR 5 gate.
-        throughput["skipped"] = "skipped_insufficient_cores"
-        throughput["passed"] = True
-    else:
-        throughput["passed"] = speedup >= 3.0
-    report["throughput_gate"] = throughput
-    print(
-        f"throughput: {unbatched['qps']:.0f} -> {batched['qps']:.0f} qps "
-        f"({speedup:.2f}x, mean width "
-        f"{batched['batcher']['mean_width'] and round(batched['batcher']['mean_width'], 1)}) "
-        f"{'SKIP (1 core)' if cores < 2 else ('PASS' if throughput['passed'] else 'FAIL')}"
-    )
-
-    p99_ms = batched["latency_ms"]["p99"]
-    report["p99_gate"] = {
-        "requirement": (
-            f"batched closed-loop p99 <= {args.p99_bound_s * 1e3:.0f}ms "
-            f"at the sustained QPS recorded above"
-        ),
-        "sustained_qps": batched["qps"],
-        "p99_ms": p99_ms,
-        "bound_ms": args.p99_bound_s * 1e3,
-        "passed": p99_ms <= args.p99_bound_s * 1e3,
-    }
-    print(
-        f"p99: {p99_ms:.1f}ms @ {batched['qps']:.0f} qps "
-        f"(bound {args.p99_bound_s * 1e3:.0f}ms) "
-        f"{'PASS' if report['p99_gate']['passed'] else 'FAIL'}"
-    )
-
-    if not args.skip_open_loop:
-        print("== open-loop ==", flush=True)
-        with Daemon("openloop", workdir, **BATCHED) as d:
-            graph, sides = build_workload()
-            with ServingClient(d.host, d.port) as client:
-                oid = client.register_graph(graph)
-                for side in sides[:8]:
-                    client.cut_weight(oid, side)
-            report["open_loop"] = _run_workers(
-                _open_loop_worker,
-                [
-                    (d.host, d.port, args.open_loop_rate,
-                     args.open_loop_duration_s, w)
-                    for w in range(args.procs)
-                ],
-            )
-        ol = report["open_loop"]
-        print(
-            f"open-loop: {ol['qps']:.0f} qps achieved "
-            f"(offered {args.open_loop_rate * args.procs:.0f}), "
-            f"p99 {ol['latency_ms']['p99']:.1f}ms"
-        )
-
-    print("== k-server min-cut across processes ==", flush=True)
-    report["kserver_gate"] = kserver_gate(workdir, args.quick)
-    print(f"k-server: {'PASS' if report['kserver_gate']['passed'] else 'FAIL'}")
-
-    passed = all(
-        report[g]["passed"]
-        for g in ("parity_gate", "throughput_gate", "p99_gate", "kserver_gate")
-    )
-    report["gate"] = {
-        "requirement": (
-            "byte-identical served responses AND >= 3x batched-vs-"
-            "unbatched QPS (skip semantics on < 2 cores) AND p99 under "
-            "the SLO bound AND k-server min-cut parity across processes"
-        ),
-        "passed": passed,
-    }
-    _write_report(args.out, report)
-    print(f"overall: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        shards = host_shards(clients, graph, num_servers=3, rng=123)
+        served = distributed_min_cut(shards, epsilon=0.3, rng=77)
+    return reference, served

@@ -39,8 +39,9 @@ Consumers: `all_directed_cut_values(engine="csr")` (default; the
 batch probes, the lower-bound decoders' cut-probe loops, and
 `balance.py`'s exact scans.  `batched_cut_weights(graph, sides)` is the
 one-call convenience wrapper.  Equivalence with the dict path is
-property-tested in `tests/graphs/test_csr_equivalence.py`; timings live
-in `BENCH_PR1.json` (`make bench-report`).
+property-tested in `tests/graphs/test_csr_equivalence.py`; the ≥5×
+batch speed-up is gated by `python scripts/bench_report.py --gate
+cut_kernel`.
 """,
     "repro.obs": """\
 ### Observability
@@ -48,9 +49,10 @@ in `BENCH_PR1.json` (`make bench-report`).
 All instrumentation hangs off one global switch: `obs.enable(sink)` /
 `obs.disable()` (or the `obs.enabled(...)` context manager for scoped
 use).  While the switch is off every instrumentation site costs one
-attribute load and a branch — the guard benchmark in `BENCH_PR2.json`
-(`python scripts/bench_report.py --pr2-only`) holds the hot CSR batch
-loop to within 5% of its uninstrumented baseline.
+attribute load and a branch — the guard benchmark (`python
+scripts/bench_report.py --gate obs_guard`) holds the hot CSR batch
+loop to within 5% of its uninstrumented `BENCH_PR1.json` baseline with
+every observability layer imported.
 
 Three coordinated pieces:
 
@@ -102,7 +104,7 @@ counts, noticeable slowdown); `mode="sampling"` snapshots the main
 thread's stack every `interval` seconds from a daemon thread (
 statistical counts, near-zero overhead).  Nothing is installed until
 `start()` — importing the module costs nothing on the disabled path
-(gate: `python scripts/bench_report.py --pr3-only`, `BENCH_PR3.json`).
+(gate: `python scripts/bench_report.py --gate obs_guard`).
 `emit_events()` lands the aggregates in telemetry as `profile` events,
 which `scripts/trace_report.py` renders as a per-span hot-function
 table; `run_all --profile` wires this end to end.
@@ -128,9 +130,9 @@ Prometheus gauges, `trace_report --memory-top`, and the `mem:`/`rss:`
 SLO rules all consume; `SpaceBoundSpec` companions certify the
 measured bytes against the Thm 1.1/1.2/1.3 envelopes
 (`run_all --memory --strict-bounds`).  Nothing is installed until
-`start()` — the disabled path and the jobs-1/2/4 digest contract are
-gated by `python scripts/bench_report.py --pr9-only`
-(`BENCH_PR9.json`, `make bench-memory`).
+`start()` — the disabled path, the sampling overhead and the jobs-1/2/4
+digest contract are gated by `python scripts/bench_report.py --gate
+obs_guard memory digests`.
 
 ### Cross-run observatory
 
@@ -162,8 +164,8 @@ foreach/forall games, distributed ship/query traffic, local-query
 oracle calls) call the module-level `capture.record(...)` hook, a
 two-branch no-op unless the global switch is on *and* a capture is
 installed via `capture.install(...)` / the `capturing(...)` context
-manager (gate: `python scripts/bench_report.py --pr4-only`,
-`BENCH_PR4.json`).  `payload_digest` hashes a canonical encoding
+manager (gate: `python scripts/bench_report.py --gate obs_guard`).
+`payload_digest` hashes a canonical encoding
 (graphs digest as sorted edge lists, numpy scalars normalise through
 int/float) so transcripts from separate processes are byte-comparable;
 `first_divergence(a, b)` pinpoints the first mismatching message.
@@ -183,7 +185,7 @@ telemetry record onto it — even with no sink attached —
 worker `heartbeat` records plus `live.tick` clock pulses.  With no bus
 installed the tee is one attribute load and an `is None` branch; the
 enabled live path stays within 5% of plain telemetry (gate: `python
-scripts/bench_report.py --pr8-only`, `BENCH_PR8.json`).
+scripts/bench_report.py --gate live`).
 `SlidingWindow` keeps time-bounded `(ts, value)` samples with
 nearest-rank quantiles that match `Histogram.quantile` exactly, and
 `LiveAggregator` folds the stream into windowed span latencies, bound
@@ -300,8 +302,8 @@ uniform streams — so flows, cuts, and codewords are equal at the
 `==`/`array_equal` level (`tests/kernels/test_parity.py`, pinned seeds
 in `tests/graphs/test_karger_kernel_regression.py`).  The backend in
 use is reported through the `kernels.backend.<name>` obs counter and
-on `run_all`'s stderr.  Gates: `BENCH_PR6.json`
-(`python scripts/bench_report.py --pr6-only`).
+on `run_all`'s stderr.  Gates: `python scripts/bench_report.py --gate
+kernels transport digests`.
 """,
     "repro.parallel": """\
 ### Parallel trial execution
@@ -325,8 +327,8 @@ histogram sample sequences, wire transcripts, and even non-associative
 float reductions reproduce the serial run byte for byte.  Crashed or
 hung workers get one retry on a fresh process with the same spawned
 seed; a second failure raises `ParallelError` naming the trial index —
-never a silent partial table.  Gates: `BENCH_PR5.json`
-(`python scripts/bench_report.py --pr5-only`).
+never a silent partial table.  Gates: `python scripts/bench_report.py
+--gate parallel digests`.
 
 Numeric result tables (uniform floats, ints, or same-shape ndarrays)
 travel back through a preallocated `multiprocessing.shared_memory`
@@ -351,8 +353,8 @@ measured-bytes LRU (`SnapshotCache`), coalesces concurrent
 (`MicroBatcher`: max-batch, depth-stable probe, and window triggers),
 and answers for-all sketch queries and Theorem 5.7 shard ops.  Because
 the kernel is row-stable, batching never changes response bytes —
-`scripts/cut_bench.py` digest-checks this and writes `BENCH_PR10.json`
-(`make bench-serving`).  `--metrics-port`, `--slo`, and `--capture`
+`python scripts/bench_report.py --gate serving` digest-checks this
+against real daemons (`scripts/cut_bench.py`).  `--metrics-port`, `--slo`, and `--capture`
 wire the daemon into the live metrics/SLO/wire-capture stack through
 the same `repro.obs.session` as `run_all`, with the same exit codes;
 see EXPERIMENTS.md, "Serving tier".
