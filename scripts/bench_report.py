@@ -76,7 +76,10 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro import obs  # noqa: E402
 from repro.graphs.cuts import all_directed_cut_values  # noqa: E402
-from repro.graphs.generators import random_balanced_digraph  # noqa: E402
+from repro.graphs.generators import (  # noqa: E402
+    random_balanced_digraph,
+    random_regularish_ugraph,
+)
 from repro.obs.session import EXIT_SLO_BREACH, session  # noqa: E402
 from repro.sketch.sparsifier import SparsifierSketch  # noqa: E402
 
@@ -456,12 +459,13 @@ def gate_parallel(quick):
 
 
 def gate_kernels(quick):
+    from repro.graphs.mincut import stoer_wagner
     from repro.kernels import get_backend, using_backend
     from repro.linalg.hadamard import Lemma32Matrix
 
     requirement = (
         "native over python reference on dinic + contraction + hadamard "
-        "decode (geometric-mean speedup)"
+        "decode + stoer-wagner (geometric-mean speedup)"
     )
     missing = native_missing()
     if missing:
@@ -477,6 +481,7 @@ def gate_kernels(quick):
     uniforms = gen.random(n)
     matrix = Lemma32Matrix(16)
     x = gen.integers(-30, 30, size=matrix.row_length).astype(np.float64)
+    regular = random_regularish_ugraph(128, 6, rng=128)
     workloads = {
         # 5 max-flow solves on an n=200 balanced digraph
         "dinic": lambda: [csr.max_flow(0, t).value for t in range(1, 6)],
@@ -489,6 +494,8 @@ def gate_kernels(quick):
         "hadamard_decode": lambda: [
             matrix.decode_coefficient(x, t) for t in range(matrix.num_rows)
         ],
+        # one exact global min cut, n=128 degree ~6
+        "stoer_wagner": lambda: stoer_wagner(regular),
     }
     timings, equal = {}, True
     for name, fn in workloads.items():

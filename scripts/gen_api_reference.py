@@ -284,9 +284,10 @@ bisection aborts loudly if a recorded transcript no longer reproduces
     "repro.kernels": """\
 ### Kernel backends
 
-Runtime-selected compute backends for the three hot kernels — Dinic
+Runtime-selected compute backends for the four hot kernels — Dinic
 max-flow over flat arc arrays, Karger–Stein edge contraction over an
-array union-find, and Lemma 3.2 Hadamard row products / decoding.
+array union-find, Lemma 3.2 Hadamard row products / decoding, and the
+Stoer–Wagner global min cut over a dense `float64[n, n]` weight matrix.
 Selection order is `--kernels {auto,python,native}` on
 `run_all` (installed via `select_backend`) → the `REPRO_KERNELS`
 environment variable → `auto`.  `auto` loads the native backend (a C
@@ -298,8 +299,8 @@ selection raises `KernelUnavailableError` instead (`run_all` exits 4).
 The parity guarantee is bit-identity, not approximation: native
 kernels mirror the reference operation for operation — same traversal
 order, same float accumulation order, same consumption of pre-drawn
-uniform streams — so flows, cuts, and codewords are equal at the
-`==`/`array_equal` level (`tests/kernels/test_parity.py`, pinned seeds
+uniform streams — so flows, cuts, min-cut sides and codewords are
+equal at the `==`/`array_equal` level (`tests/kernels/test_parity.py`, pinned seeds
 in `tests/graphs/test_karger_kernel_regression.py`).  The backend in
 use is reported through the `kernels.backend.<name>` obs counter and
 on `run_all`'s stderr.  Gates: `python scripts/bench_report.py --gate

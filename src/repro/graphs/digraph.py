@@ -19,6 +19,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -89,6 +90,8 @@ class DiGraph:
         """
         if u == v:
             raise GraphError(f"self loop at {u!r} not allowed")
+        if not math.isfinite(weight):
+            raise GraphError(f"non-finite weight {weight} on ({u!r}, {v!r})")
         if weight < 0:
             raise GraphError(f"negative weight {weight} on ({u!r}, {v!r})")
         self.add_node(u)
@@ -98,6 +101,8 @@ class DiGraph:
                 raise GraphError(f"edge ({u!r}, {v!r}) already exists")
             if combine == "add":
                 weight = self._succ[u][v] + weight
+                if not math.isfinite(weight):
+                    raise GraphError(f"summed weight overflows on ({u!r}, {v!r})")
             elif combine != "set":
                 raise GraphError(f"unknown combine mode {combine!r}")
         else:

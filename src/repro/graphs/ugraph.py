@@ -11,6 +11,7 @@ edge weights.
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -74,6 +75,8 @@ class UGraph:
         """Add undirected edge ``{u, v}``; see :meth:`DiGraph.add_edge`."""
         if u == v:
             raise GraphError(f"self loop at {u!r} not allowed")
+        if not math.isfinite(weight):
+            raise GraphError(f"non-finite weight {weight} on {{{u!r}, {v!r}}}")
         if weight < 0:
             raise GraphError(f"negative weight {weight} on {{{u!r}, {v!r}}}")
         self.add_node(u)
@@ -83,6 +86,8 @@ class UGraph:
                 raise GraphError(f"edge {{{u!r}, {v!r}}} already exists")
             if combine == "add":
                 weight = self._adj[u][v] + weight
+                if not math.isfinite(weight):
+                    raise GraphError(f"summed weight overflows on {{{u!r}, {v!r}}}")
             elif combine != "set":
                 raise GraphError(f"unknown combine mode {combine!r}")
         else:

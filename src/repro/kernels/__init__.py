@@ -1,12 +1,13 @@
 """Runtime-selected compiled kernel backends for the hot loops.
 
-The CSR layer (PR 1) moved the batched cut kernels onto dense BLAS; the
-remaining hot loops — Dinic max-flow, Karger–Stein contraction, and the
-Lemma 3.2 encode/decode sign-flip products — still executed as
+The CSR layer moved the batched cut kernels onto dense BLAS; the
+remaining hot loops — Dinic max-flow, Karger–Stein contraction, the
+Lemma 3.2 encode/decode sign-flip products, and the Stoer–Wagner global
+min cut (over a dense ``float64[n, n]`` weight matrix) — ran as
 interpreted Python.  This package gives each of those loops a *kernel
 interface*: a small set of functions over flat typed arrays
-(``int64``/``float64``/``int8`` vectors, no Python objects inside the
-loop) with two interchangeable implementations:
+(``int64``/``float64``/``int8``/``uint8`` buffers, no Python objects
+inside the loop) with two interchangeable implementations:
 
 * the **python** backend (:mod:`repro.kernels.reference`) — the pure
   Python/NumPy reference implementation.  It is the semantic ground

@@ -16,6 +16,7 @@
 
 #include <stdint.h>
 #include <float.h>
+#include <math.h>
 
 #define EPS 1e-12
 
@@ -231,6 +232,78 @@ int64_t repro_contract_to(
     for (int64_t i = 0; i < n; i++) parent[i] = uf_find(parent, i);
     *used_out = used;
     return current;
+}
+
+/* ------------------------------------------------------------------ */
+/* Stoer–Wagner global min cut over a dense weight matrix              */
+/* ------------------------------------------------------------------ */
+
+double repro_stoer_wagner(
+    int64_t n,
+    double *w,        /* n x n symmetric, zero diagonal; mutated */
+    uint8_t *side,    /* n: filled with the best cut's side */
+    double *key,      /* n scratch: attachment weights by alive position */
+    int64_t *alive,   /* n scratch: alive node indices, ascending */
+    int64_t *group)   /* n scratch: super node of each original node */
+{
+    for (int64_t i = 0; i < n; i++) {
+        alive[i] = i;
+        group[i] = i;
+    }
+    double best = INFINITY;
+    for (int64_t remaining = n; remaining > 1; remaining--) {
+        /* The scans run over alive positions, which ascend with the
+         * node index, so "first strict maximum" is the reference's. */
+        int64_t start = alive[0];
+        const double *start_row = w + start * n;
+        for (int64_t j = 0; j < remaining; j++) key[j] = start_row[alive[j]];
+        key[0] = -INFINITY;
+        int64_t pick = -1;
+        double top = -INFINITY;
+        for (int64_t j = 0; j < remaining; j++) {
+            if (key[j] > top) {
+                top = key[j];
+                pick = j;
+            }
+        }
+        int64_t s = start, t = start;
+        double cut = 0.0;
+        for (int64_t step = 1; step < remaining; step++) {
+            s = t;
+            t = alive[pick];
+            cut = key[pick];
+            key[pick] = -INFINITY;
+            /* Add t's row and find the next pick in the same pass. */
+            const double *row = w + t * n;
+            top = -INFINITY;
+            pick = -1;
+            for (int64_t j = 0; j < remaining; j++) {
+                key[j] += row[alive[j]];
+                if (key[j] > top) {
+                    top = key[j];
+                    pick = j;
+                }
+            }
+        }
+        if (cut < best) {
+            best = cut;
+            for (int64_t i = 0; i < n; i++) side[i] = group[i] == t;
+        }
+        for (int64_t i = 0; i < n; i++)
+            if (group[i] == t) group[i] = s;
+        double *srow = w + s * n, *trow = w + t * n;
+        for (int64_t v = 0; v < n; v++) srow[v] += trow[v];
+        for (int64_t v = 0; v < n; v++) w[v * n + s] = srow[v];
+        srow[s] = 0.0;
+        for (int64_t v = 0; v < n; v++) {
+            trow[v] = 0.0;
+            w[v * n + t] = 0.0;
+        }
+        int64_t j = 0;
+        while (alive[j] != t) j++;
+        for (; j + 1 < remaining; j++) alive[j] = alive[j + 1];
+    }
+    return best;
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,18 +1,19 @@
 """C backend: compile ``_kernels.c`` on demand and bind it via ctypes.
 
 No prebuilt wheels, no pip dependency: the kernels are a single C99
-file shipped with the package, compiled once per (source, compiler)
+file shipped with the package, compiled once per (source, command line)
 pair with whatever ``cc``/``gcc``/``clang`` the machine offers::
 
-    cc -O3 -fPIC -shared -o $REPRO_KERNELS_CACHE/repro_kernels_<hash>.so _kernels.c
+    cc -O3 -fPIC -shared -o $REPRO_KERNELS_CACHE/repro_kernels_<hash>.so _kernels.c -lm
 
 The output lands in ``REPRO_KERNELS_CACHE`` (default
 ``~/.cache/repro-kernels``, falling back to the system temp dir), keyed
-by a hash of the source and toolchain so a source edit or compiler
-upgrade triggers exactly one rebuild; CI caches the directory between
-runs.  The compile is atomic (build to a temp name, ``os.replace``) so
-concurrent first-use from several processes cannot load a half-written
-library.
+by a hash of the source, the full compile command (compiler and every
+flag) and ``sizeof(long)``, so a source edit, a flag change or a
+compiler switch triggers exactly one rebuild; CI caches the directory
+between runs.  The compile is atomic (build to a temp name,
+``os.replace``) so concurrent first-use from several processes cannot
+load a half-written library.
 
 Every failure mode — no compiler, compile error, load error — raises
 :class:`~repro.kernels.registry.KernelUnavailableError`, which the
@@ -29,7 +30,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -66,14 +67,24 @@ def _compiler() -> str:
     )
 
 
+def _compile_command(cc: str, output: str, source: str) -> List[str]:
+    """The compiler invocation building ``source`` into ``output``."""
+    return [cc, "-O3", "-fPIC", "-shared", "-o", output, source, "-lm"]
+
+
 def _build_library() -> Path:
     """Compile (or reuse) the shared library; returns its path."""
     if not _SOURCE.exists():
         raise KernelUnavailableError(f"kernel source missing: {_SOURCE}")
     cc = _compiler()
     source = _SOURCE.read_bytes()
+    # The paths vary per build and checkout; everything else in the
+    # command decides what the library computes, so it keys the cache.
+    command = "\0".join(_compile_command(cc, "<output>", "<source>"))
     tag = hashlib.sha256(
-        source + cc.encode() + str(ctypes.sizeof(ctypes.c_long)).encode()
+        source
+        + command.encode()
+        + str(ctypes.sizeof(ctypes.c_long)).encode()
     ).hexdigest()[:16]
     directory = cache_dir()
     so_path = directory / f"repro_kernels_{tag}.so"
@@ -89,7 +100,7 @@ def _build_library() -> Path:
         suffix=".so", prefix="repro_kernels_", dir=directory
     )
     os.close(fd)
-    cmd = [cc, "-O3", "-fPIC", "-shared", "-o", tmp_name, str(_SOURCE), "-lm"]
+    cmd = _compile_command(cc, tmp_name, str(_SOURCE))
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     except (OSError, subprocess.TimeoutExpired) as exc:
@@ -142,6 +153,10 @@ class _CcKernels:
         lib.repro_had_decode_one.restype = ctypes.c_double
         lib.repro_had_decode_one.argtypes = [
             ctypes.c_int64, _i8p, _f64p, ctypes.c_int64, ctypes.c_int64,
+        ]
+        lib.repro_stoer_wagner.restype = ctypes.c_double
+        lib.repro_stoer_wagner.argtypes = [
+            ctypes.c_int64, _f64p, _u8p, _f64p, _i64p, _i64p,
         ]
 
     # -- kernel interface ----------------------------------------------
@@ -242,6 +257,23 @@ class _CcKernels:
             )
         )
 
+    def stoer_wagner(self, matrix, side) -> float:
+        n = side.size
+        assert matrix.shape == (n, n)
+        key = np.empty(n, dtype=np.float64)
+        alive = np.empty(n, dtype=np.int64)
+        group = np.empty(n, dtype=np.int64)
+        return float(
+            self._lib.repro_stoer_wagner(
+                n,
+                _as(matrix, np.float64, _f64p),
+                _as(side, np.uint8, _u8p),
+                _as(key, np.float64, _f64p),
+                _as(alive, np.int64, _i64p),
+                _as(group, np.int64, _i64p),
+            )
+        )
+
 
 def load() -> KernelBackend:
     """Compile/load the C library and wrap it as a backend."""
@@ -262,5 +294,6 @@ def load() -> KernelBackend:
         had_combine_many=kernels.had_combine_many,
         had_row_products=kernels.had_row_products,
         had_decode_one=kernels.had_decode_one,
+        stoer_wagner=kernels.stoer_wagner,
         meta={"library": str(so_path)},
     )

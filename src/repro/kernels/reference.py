@@ -41,10 +41,23 @@ computes ``H^T C_b H`` per coefficient block (exact ``int64``),
 reshaped query vector, and ``had_decode_one`` recovers one coefficient
 ``<x, H_i (x) H_j> / ||row||^2``, materializing the dense row exactly
 like the pre-kernel implementation did.
+
+**Stoer–Wagner** (``stoer_wagner``) runs the global min cut over a
+dense C-contiguous ``float64[n, n]`` symmetric weight matrix with a
+zero diagonal, which it mutates as phases merge nodes, and fills the
+``uint8[n]`` ``side`` vector with the indicator of the best cut's side;
+it returns the cut value.  The tie-break rules are part of the
+contract: each phase starts at the lowest alive index, scans the alive
+nodes in ascending index order, the first strict maximum of the
+attachment weights joins ``A``, and a phase cut replaces the best one
+only when strictly ``<``.  Merging ``t`` into ``s`` adds row ``t`` to
+row ``s``, mirrors it into column ``s``, zeroes the diagonal and clears
+row and column ``t``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -254,6 +267,47 @@ def contract_to(
 
 
 # ----------------------------------------------------------------------
+# Stoer–Wagner global min cut over a dense weight matrix
+# ----------------------------------------------------------------------
+def stoer_wagner(matrix: np.ndarray, side: np.ndarray) -> float:
+    """Global min cut value; mutates ``matrix`` and fills ``side``.
+
+    The attachment vector ``key`` holds ``-inf`` for the nodes already
+    in ``A`` (and the merged-away ones), so ``argmax`` picks the first
+    strict maximum among the rest and adding a row leaves them at
+    ``-inf``; every other entry sums the same doubles in the same order
+    as a per-node scan.
+    """
+    n = matrix.shape[0]
+    alive = np.ones(n, dtype=bool)
+    group = np.arange(n)  # the super node each original node sits in
+    best = math.inf
+    for remaining in range(n, 1, -1):
+        start = int(np.argmax(alive))
+        key = matrix[start].copy()
+        key[~alive] = -math.inf
+        key[start] = -math.inf
+        s = t = start
+        cut = 0.0
+        for _ in range(remaining - 1):
+            s, t = t, int(np.argmax(key))
+            cut = float(key[t])
+            key[t] = -math.inf
+            key += matrix[t]
+        if cut < best:
+            best = cut
+            side[:] = group == t
+        group[group == t] = s
+        matrix[s] += matrix[t]
+        matrix[:, s] = matrix[s]
+        matrix[s, s] = 0.0
+        matrix[t] = 0.0
+        matrix[:, t] = 0.0
+        alive[t] = False
+    return best
+
+
+# ----------------------------------------------------------------------
 # Lemma 3.2 Hadamard products
 # ----------------------------------------------------------------------
 def had_combine_many(h: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -304,4 +358,5 @@ def make_backend():
         had_combine_many=had_combine_many,
         had_row_products=had_row_products,
         had_decode_one=had_decode_one,
+        stoer_wagner=stoer_wagner,
     )

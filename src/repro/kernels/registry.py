@@ -55,6 +55,7 @@ class KernelBackend:
     had_combine_many: Callable[..., Any]
     had_row_products: Callable[..., Any]
     had_decode_one: Callable[..., float]
+    stoer_wagner: Callable[..., float]
     meta: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -11,6 +11,7 @@ queries over the :mod:`repro.serving.protocol` framing.  Request ops
 ``serve.cut_weight``    ``{oid, mask}`` -> one micro-batched cut value
 ``serve.cut_weights``   ``{oid, masks}`` -> one vectorized batch call
 ``serve.min_cut``       ``{oid}`` -> exact global min cut of the snapshot
+                        (undirected: at most ``MIN_CUT_NODE_LIMIT`` nodes)
 ``serve.sketch_query``  ``{oid, mask, epsilon, seed, ...}`` -> sketch
                         estimate from a cached for-all sparsifier
 ``serve.host_shard``    ``{name, graph}`` -> host a Thm 5.7 edge shard
@@ -75,6 +76,11 @@ from repro.serving.protocol import (
     read_envelope,
     write_envelope,
 )
+
+#: Largest undirected graph ``serve.min_cut`` solves: Stoer–Wagner holds
+#: a dense ``8 n^2``-byte weight matrix (32 MiB here) and runs inline on
+#: the event loop, so a frame cannot buy an unbounded allocation.
+MIN_CUT_NODE_LIMIT = 2048
 
 
 def _request_id(envelope) -> Optional[int]:
@@ -398,6 +404,12 @@ class SketchServer:
             raise ServingError("serve.min_cut needs an object payload")
         entry = self.cache.get(str(payload.get("oid", "")))
         if entry.undirected:
+            n = entry.csr.num_nodes
+            if n > MIN_CUT_NODE_LIMIT:
+                raise ServingError(
+                    f"serve.min_cut on {n} nodes exceeds the "
+                    f"{MIN_CUT_NODE_LIMIT}-node limit of the dense solver"
+                )
             value, side = stoer_wagner(entry.graph)
         else:
             value, side = directed_global_min_cut(entry.graph)

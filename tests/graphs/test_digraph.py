@@ -5,6 +5,8 @@ import pytest
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture
 def triangle():
@@ -44,6 +46,26 @@ class TestConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphError):
             DiGraph().add_edge("a", "b", -1.0)
+
+    @pytest.mark.parametrize("weight", [NAN, INF, -INF])
+    def test_non_finite_weight_rejected(self, weight):
+        g = DiGraph()
+        with pytest.raises(GraphError, match="non-finite"):
+            g.add_edge("a", "b", weight)
+        assert g.num_edges == 0
+
+    @pytest.mark.parametrize("weight", [NAN, INF])
+    def test_non_finite_weight_rejected_when_adding(self, weight):
+        g = DiGraph(edges=[("a", "b", 1.0)])
+        with pytest.raises(GraphError, match="non-finite"):
+            g.add_edge("a", "b", weight, combine="add")
+        assert g.weight("a", "b") == 1.0
+
+    def test_overflowing_sum_rejected(self):
+        g = DiGraph(edges=[("a", "b", 1e308)])
+        with pytest.raises(GraphError, match="overflows"):
+            g.add_edge("a", "b", 1e308, combine="add")
+        assert g.weight("a", "b") == 1e308
 
     def test_duplicate_edge_modes(self):
         g = DiGraph()

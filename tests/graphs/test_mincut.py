@@ -1,5 +1,7 @@
 """Tests for repro.graphs.mincut: Stoer–Wagner, Karger, directed min cut."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,12 @@ class TestStoerWagner:
         with pytest.raises(GraphError):
             stoer_wagner(UGraph(nodes=["a"]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_total_weight_raises(self):
+        g = UGraph(edges=[("a", "b", 1e308), ("b", "c", 1e308)])
+        with pytest.raises(GraphError, match="overflows"):
+            stoer_wagner(g)
+
     def test_planted_cut_found(self):
         g, k = planted_min_cut_ugraph(10, 3, rng=0)
         value, _ = stoer_wagner(g)
@@ -68,6 +76,28 @@ class TestStoerWagner:
         bf_value, _ = brute_force_min_cut(g)
         assert sw_value == pytest.approx(bf_value)
         assert g.cut_weight(sw_side) == pytest.approx(bf_value)
+
+    def test_ties_pick_the_pinned_side(self):
+        # Many equal cuts: the scan order (ascending node index, first
+        # strict maximum, strict < on the best cut) decides the side.
+        c8 = UGraph(edges=[(i, (i + 1) % 8, 1.0) for i in range(8)])
+        k6 = UGraph(edges=[(i, j, 1.0) for i, j in combinations(range(6), 2)])
+        two_k4 = UGraph(
+            edges=[(i, j, 1.0) for i, j in combinations(range(4), 2)]
+            + [(i, j, 1.0) for i, j in combinations(range(4, 8), 2)]
+            + [(0, 4, 1.0), (3, 7, 1.0)]
+        )
+        assert stoer_wagner(c8) == (2.0, frozenset({7}))
+        assert stoer_wagner(k6) == (5.0, frozenset({5}))
+        assert stoer_wagner(two_k4) == (2.0, frozenset({4, 5, 6, 7}))
+
+    def test_sides_follow_insertion_order_not_labels(self):
+        # The same cycle with labels inserted in reverse: the side is the
+        # last-inserted node again, whatever its label.
+        cycle = UGraph(nodes=["h", "g", "f", "e", "d", "c", "b", "a"])
+        for u, v in zip("abcdefgh", "bcdefgha"):
+            cycle.add_edge(u, v, 1.0)
+        assert stoer_wagner(cycle) == (2.0, frozenset({"a"}))
 
 
 class TestKarger:

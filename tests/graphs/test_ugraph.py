@@ -6,6 +6,8 @@ from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.ugraph import UGraph, symmetrize
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture
 def square():
@@ -34,6 +36,28 @@ class TestConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphError):
             UGraph().add_edge("a", "b", -0.5)
+
+    @pytest.mark.parametrize("weight", [NAN, INF, -INF])
+    def test_non_finite_weight_rejected(self, weight):
+        g = UGraph()
+        with pytest.raises(GraphError, match="non-finite"):
+            g.add_edge("a", "b", weight)
+        assert g.num_edges == 0
+        with pytest.raises(GraphError, match="non-finite"):
+            UGraph(edges=[("a", "b", weight)])
+
+    @pytest.mark.parametrize("weight", [NAN, INF])
+    def test_non_finite_weight_rejected_when_adding(self, weight):
+        g = UGraph(edges=[("a", "b", 1.0)])
+        with pytest.raises(GraphError, match="non-finite"):
+            g.add_edge("b", "a", weight, combine="add")
+        assert g.weight("a", "b") == 1.0
+
+    def test_overflowing_sum_rejected(self):
+        g = UGraph(edges=[("a", "b", 1e308)])
+        with pytest.raises(GraphError, match="overflows"):
+            g.add_edge("a", "b", 1e308, combine="add")
+        assert g.weight("b", "a") == 1e308
 
     def test_duplicate_modes(self):
         g = UGraph()

@@ -21,6 +21,7 @@ from repro.graphs.mincut import (
     sample_near_min_cuts,
     stoer_wagner,
 )
+from repro.graphs.ugraph import UGraph
 from repro.kernels import reference, using_backend
 from repro.linalg.hadamard import Lemma32Matrix
 
@@ -143,6 +144,63 @@ class TestContractionParity:
         r2 = backend.contract_to(tails, heads, weights, p2, n, 2, uniforms)
         assert r1 == r2
         assert np.array_equal(p1, p2)
+
+
+@st.composite
+def tied_connected_ugraphs(draw):
+    """Connected graphs with shuffled labels and heavily tied weights."""
+    n = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**31))
+    palette = draw(
+        st.sampled_from(
+            [(1.0,), (1.0, 2.0, 3.0), (0.5, 0.25, 1.5), (0.1, 0.2, 0.7)]
+        )
+    )
+    fractional = draw(st.booleans())
+    gen = np.random.default_rng(seed)
+    labels = [int(x) for x in gen.permutation(n)]
+    g = UGraph(nodes=labels)
+
+    def weight():
+        if fractional and gen.random() < 0.3:
+            return float(gen.random() * 3.0)
+        return float(palette[int(gen.integers(len(palette)))])
+
+    for i in range(1, n):  # a random spanning tree keeps it connected
+        g.add_edge(labels[i], labels[int(gen.integers(i))], weight())
+    for _ in range(int(gen.integers(0, 3 * n + 1))):
+        u, v = (labels[int(x)] for x in gen.integers(0, n, size=2))
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, weight())
+    return g
+
+
+class TestStoerWagnerParity:
+    @given(tied_connected_ugraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_value_and_side_identical(self, g):
+        native_backend_or_skip()
+        with using_backend("python"):
+            a = stoer_wagner(g)
+        with using_backend("native"):
+            b = stoer_wagner(g)
+        assert a == b
+        assert repr(a[0]) == repr(b[0])
+        assert g.cut_weight(a[1]) == pytest.approx(a[0])
+
+    def test_kernel_level_matrix_and_side_match(self):
+        backend = native_backend_or_skip()
+        g = random_connected_ugraph(30, extra_edge_prob=0.3, rng=7)
+        csr = g.freeze()
+        base = np.zeros((30, 30))
+        base[csr.tails, csr.heads] = csr.weights
+        runs = []
+        for kernel in (reference.stoer_wagner, backend.stoer_wagner):
+            matrix, side = base.copy(), np.zeros(30, dtype=np.uint8)
+            runs.append((kernel(matrix, side), matrix, side))
+        assert repr(runs[0][0]) == repr(runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert np.array_equal(runs[0][2], runs[1][2])
 
 
 class TestHadamardParity:

@@ -143,3 +143,26 @@ class TestObsReporting:
         mark_use(get_backend())
         counters = obs.REGISTRY.as_dict()["counters"]
         assert counters.get("kernels.backend.python", 0) == 0
+
+
+class TestBuildCache:
+    def test_compile_flags_key_the_cached_library(self, monkeypatch, tmp_path):
+        from repro.kernels import native_cc
+
+        try:
+            native_cc._compiler()
+        except KernelUnavailableError as exc:
+            pytest.skip(f"no native kernel toolchain: {exc}")
+        monkeypatch.setenv(native_cc.CACHE_ENV, str(tmp_path))
+        default = native_cc._build_library()
+        assert native_cc._build_library() == default  # reused, not rebuilt
+        plain = native_cc._compile_command
+
+        def unoptimized(cc, output, source):
+            return [flag if flag != "-O3" else "-O0"
+                    for flag in plain(cc, output, source)]
+
+        monkeypatch.setattr(native_cc, "_compile_command", unoptimized)
+        rebuilt = native_cc._build_library()
+        assert rebuilt != default
+        assert rebuilt.exists() and default.exists()

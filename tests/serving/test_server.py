@@ -11,10 +11,11 @@ from repro import obs
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import random_regularish_ugraph
 from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
+from repro.graphs.ugraph import UGraph
 from repro.obs import capture as obs_capture
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.protocol import ServingError
-from repro.serving.server import ServerThread
+from repro.serving.server import MIN_CUT_NODE_LIMIT, ServerThread
 
 
 def _graph(rng=1, n=48):
@@ -142,6 +143,22 @@ class TestErrors:
                     client.request("serve.min_cut", {"oid": "nope"})
                 # Same connection still serves.
                 assert client.cut_weight(oid, _sides(graph, 1)[0]) >= 0.0
+
+    def test_min_cut_over_the_node_limit_is_refused(self):
+        n = MIN_CUT_NODE_LIMIT + 1
+        path = UGraph(edges=[(i, i + 1, 1.0) for i in range(n - 1)])
+        small = _graph()
+        with ServerThread() as thread:
+            with ServingClient("127.0.0.1", thread.port) as client:
+                big_oid = client.register_graph(path)
+                oid = client.register_graph(small)
+                with pytest.raises(ServingError, match="node limit"):
+                    client.min_cut(big_oid)
+                # Same connection still serves.
+                side = _sides(small, 1)[0]
+                assert client.cut_weight(oid, side) == _direct_values(
+                    small, [side]
+                )[0]
 
 
 def _serve_concurrently(port, graph, sides, clients=3):
