@@ -514,7 +514,32 @@ def gate_kernels(quick):
         requirement, geomean, ">=", 5.0, ok=equal,
         reason=None if equal else "native outputs differ from the reference",
         kernels=timings,
+        gomory_hu=gomory_hu_timing(),
     )
+
+
+def gomory_hu_timing():
+    """Gusfield on a 32-node degree-6 graph under both backends.
+
+    Reported in the kernels gate's details only, outside its geomean:
+    the sparsifier's per-edge connectivities come from this tree.
+    """
+    from repro.graphs.gomory_hu import gomory_hu_tree
+    from repro.kernels import using_backend
+
+    graph = random_regularish_ugraph(32, 6, rng=32)
+
+    def build():
+        tree = gomory_hu_tree(graph)
+        return tree.parent, tree.parent_weight
+
+    seconds, outputs = {}, []
+    for backend in ("python", "native"):
+        with using_backend(backend):
+            seconds[f"{backend}_s"] = median_time(build, repeats=3)
+            outputs.append(build())
+    return {**seconds, "speedup": seconds["python_s"] / seconds["native_s"],
+            "equal": outputs[0] == outputs[1]}
 
 
 def gate_transport(quick):

@@ -37,7 +37,10 @@ The snapshot's batch kernels evaluate many cuts per call:
 Consumers: `all_directed_cut_values(engine="csr")` (default; the
 `"dict"` engine is the reference implementation), sketch `query_many`
 batch probes, the lower-bound decoders' cut-probe loops, and
-`balance.py`'s exact scans.  `batched_cut_weights(graph, sides)` is the
+`balance.py`'s exact scans.  `max_flow` and `max_flow_undirected` run
+on the snapshot directly (the undirected snapshot already holds each
+edge once per direction), so the n−1 flows of a Gomory–Hu tree share
+one residual network.  `batched_cut_weights(graph, sides)` is the
 one-call convenience wrapper.  Equivalence with the dict path is
 property-tested in `tests/graphs/test_csr_equivalence.py`; the ≥5×
 batch speed-up is gated by `python scripts/bench_report.py --gate

@@ -319,8 +319,17 @@ class DiGraph:
     # derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "DiGraph":
-        """Deep copy (nodes and edges)."""
-        return DiGraph(self.nodes(), self.edges())
+        """Deep copy: same nodes, edges, weights and neighbour order.
+
+        Copies the adjacency dicts directly; every edge was validated
+        when it entered this graph, so none goes through :meth:`add_edge`
+        again.
+        """
+        out = DiGraph()
+        out._succ = {node: dict(nbrs) for node, nbrs in self._succ.items()}
+        out._pred = {node: dict(nbrs) for node, nbrs in self._pred.items()}
+        out._num_edges = self._num_edges
+        return out
 
     def reverse(self) -> "DiGraph":
         """The graph with every edge direction flipped."""

@@ -6,20 +6,25 @@ the same vertex set such that for every pair ``(u, v)`` the minimum
 between them, and the corresponding tree edge's two components give a
 minimum cut.
 
-Used here as (a) an independent cross-check of the flow and min-cut
-routines, and (b) a compact "for-all cut oracle for pairwise min cuts"
-in the distributed example — a classical structure worth having in any
-cut-sketching library.
+Used here as (a) the source of every per-edge connectivity
+``lambda_e`` in the importance-sampling sparsifier
+(:mod:`repro.sketch.sparsifier`), which reads all ``m`` values off one
+tree built from ``n - 1`` flows instead of running ``m`` flows, (b) an
+independent cross-check of the flow and min-cut routines, and (c) a
+compact "for-all cut oracle for pairwise min cuts" in the distributed
+example.
 
 Implementation: Gusfield's simplification (no node contraction), which
-produces a valid Gomory–Hu tree for undirected graphs.
+produces a valid Gomory–Hu tree for undirected graphs.  Every flow runs
+on the graph's one cached CSR snapshot, so the ``n - 1`` calls share a
+residual network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.maxflow import max_flow_undirected
@@ -74,6 +79,34 @@ class GomoryHuTree:
         path.append((self.root, math.inf))
         return path
 
+    def pairwise_min_cuts(self) -> Dict[Node, Dict[Node, float]]:
+        """Minimum cut value of every node pair, read off the tree at once.
+
+        ``cuts[u][v]`` equals :meth:`min_cut_value` ``(u, v)``.  One walk
+        from each node over the tree carries the running path minimum,
+        so all pairs cost ``O(n^2)`` in total rather than two root walks
+        per pair.
+        """
+        adjacent: Dict[Node, List[Tuple[Node, float]]] = {self.root: []}
+        for child, parent in self.parent.items():
+            weight = self.parent_weight[child]
+            adjacent.setdefault(child, []).append((parent, weight))
+            adjacent.setdefault(parent, []).append((child, weight))
+        cuts: Dict[Node, Dict[Node, float]] = {}
+        for start in adjacent:
+            row: Dict[Node, float] = {start: math.inf}
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                low = row[node]
+                for other, weight in adjacent[node]:
+                    if other not in row:
+                        row[other] = min(low, weight)
+                        stack.append(other)
+            del row[start]
+            cuts[start] = row
+        return cuts
+
     def global_min_cut_value(self) -> float:
         """Global min cut = lightest tree edge."""
         if not self.parent_weight:
@@ -91,9 +124,8 @@ class GomoryHuTree:
 def gomory_hu_tree(graph: UGraph) -> GomoryHuTree:
     """Build a Gomory–Hu tree with Gusfield's algorithm.
 
-    Requires a connected graph with at least two nodes (disconnected
-    graphs have pairwise min cut 0 between components; callers should
-    handle components separately).
+    Requires at least two nodes.  On a disconnected graph the tree joins
+    the components by weight-0 edges, matching their pairwise min cut 0.
     """
     nodes = graph.nodes()
     if len(nodes) < 2:

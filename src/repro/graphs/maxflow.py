@@ -7,17 +7,20 @@ The library needs max flow in three places:
   capacities);
 * computing global *directed* min cuts (n - 1 flow calls, used to verify
   balance and directed cut structure on small constructions);
-* Gomory–Hu tree construction.
+* Gomory–Hu tree construction, which gives the sparsifier every
+  per-edge connectivity ``lambda_e`` from ``n - 1`` flows.
 
-Dinic's algorithm runs in ``O(V^2 E)`` in general and ``O(E sqrt(V))`` on
-unit-capacity graphs, which covers everything we do at simulator scale.
+Every flow runs on the graph's cached CSR snapshot
+(:meth:`repro.graphs.csr.CSRGraph.max_flow`): integer-indexed Dinic over
+residual arc arrays built once per snapshot and executed by the selected
+kernel backend, whose python kernel is the specification.  Dinic runs in
+``O(V^2 E)`` in general and ``O(E sqrt(V))`` on unit-capacity graphs,
+which covers everything we do at simulator scale.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph, Node
@@ -25,194 +28,78 @@ from repro.graphs.ugraph import UGraph
 from repro.obs import STATE as _OBS
 from repro.obs import count as _obs_count
 
-_EPS = 1e-12
 
-
-@dataclass
-class _Arc:
-    """One direction of a residual arc."""
-
-    head: int
-    capacity: float
-    flow: float = 0.0
-    # Index of the reverse arc inside the head's arc list.
-    rev: int = field(default=-1)
-
-    @property
-    def residual(self) -> float:
-        return self.capacity - self.flow
-
-
-@dataclass
 class FlowResult:
     """Outcome of a max-flow computation."""
 
-    value: float
-    #: Nodes reachable from the source in the final residual graph; this
-    #: is the source side of a minimum s-t cut.
-    source_side: FrozenSet[Node]
-    #: Flow on each original directed edge (u, v) -> f >= 0.
-    edge_flows: Dict[Tuple[Node, Node], float]
+    __slots__ = ("value", "source_side", "_csr", "_flows", "_edge_flows")
 
+    def __init__(self, value: float, source_side: FrozenSet[Node], csr, flows: List[float]):
+        self.value = value
+        #: Nodes reachable from the source in the final residual graph;
+        #: this is the source side of a minimum s-t cut.
+        self.source_side = source_side
+        self._csr = csr
+        self._flows = flows
+        self._edge_flows: Optional[Dict[Tuple[Node, Node], float]] = None
 
-class DinicMaxFlow:
-    """Reusable Dinic solver over an integer-indexed residual network."""
+    @property
+    def edge_flows(self) -> Dict[Tuple[Node, Node], float]:
+        """Flow on each directed snapshot edge ``(u, v) -> f >= 0``.
 
-    def __init__(self) -> None:
-        self._arcs: List[List[_Arc]] = []
-        self._index: Dict[Node, int] = {}
-        self._labels: List[Node] = []
-
-    def _node_id(self, node: Node) -> int:
-        if node not in self._index:
-            self._index[node] = len(self._labels)
-            self._labels.append(node)
-            self._arcs.append([])
-        return self._index[node]
-
-    def add_arc(self, u: Node, v: Node, capacity: float) -> Tuple[int, int]:
-        """Add a directed arc with the given capacity; returns its handle."""
-        if capacity < 0:
-            raise GraphError("capacity must be non-negative")
-        ui = self._node_id(u)
-        vi = self._node_id(v)
-        forward = _Arc(head=vi, capacity=capacity)
-        backward = _Arc(head=ui, capacity=0.0)
-        forward.rev = len(self._arcs[vi])
-        backward.rev = len(self._arcs[ui])
-        self._arcs[ui].append(forward)
-        self._arcs[vi].append(backward)
-        return ui, len(self._arcs[ui]) - 1
-
-    def _bfs_levels(self, s: int, t: int) -> Optional[List[int]]:
-        levels = [-1] * len(self._labels)
-        levels[s] = 0
-        queue = deque([s])
-        while queue:
-            cur = queue.popleft()
-            for arc in self._arcs[cur]:
-                if arc.residual > _EPS and levels[arc.head] < 0:
-                    levels[arc.head] = levels[cur] + 1
-                    queue.append(arc.head)
-        return levels if levels[t] >= 0 else None
-
-    def _dfs_blocking(
-        self, levels: List[int], iters: List[int], u: int, t: int, pushed: float
-    ) -> float:
-        if u == t:
-            return pushed
-        while iters[u] < len(self._arcs[u]):
-            arc = self._arcs[u][iters[u]]
-            if arc.residual > _EPS and levels[arc.head] == levels[u] + 1:
-                sent = self._dfs_blocking(
-                    levels, iters, arc.head, t, min(pushed, arc.residual)
+        An undirected graph's snapshot holds each edge once per
+        direction, so both ``(u, v)`` and ``(v, u)`` appear.  Built on
+        first read; flow and cut callers never pay for it.
+        """
+        if self._edge_flows is None:
+            labels = self._csr.labels
+            self._edge_flows = {
+                (labels[u], labels[v]): f
+                for u, v, f in zip(
+                    self._csr.tails.tolist(),
+                    self._csr.heads.tolist(),
+                    self._flows,
                 )
-                if sent > _EPS:
-                    arc.flow += sent
-                    self._arcs[arc.head][arc.rev].flow -= sent
-                    return sent
-            iters[u] += 1
-        return 0.0
+            }
+        return self._edge_flows
 
-    def solve(self, source: Node, sink: Node) -> float:
-        """Run Dinic from ``source`` to ``sink``; returns the flow value."""
-        if source not in self._index or sink not in self._index:
-            raise GraphError("source and sink must have incident arcs")
-        if source == sink:
-            raise GraphError("source and sink must differ")
-        s = self._index[source]
-        t = self._index[sink]
-        total = 0.0
-        while True:
-            levels = self._bfs_levels(s, t)
-            if levels is None:
-                return total
-            iters = [0] * len(self._labels)
-            while True:
-                sent = self._dfs_blocking(levels, iters, s, t, float("inf"))
-                if sent <= _EPS:
-                    break
-                total += sent
-
-    def reachable_from(self, source: Node) -> FrozenSet[Node]:
-        """Residual-reachable nodes: the source side of a min s-t cut."""
-        if source not in self._index:
-            raise GraphError(f"unknown node {source!r}")
-        seen = {self._index[source]}
-        stack = [self._index[source]]
-        while stack:
-            cur = stack.pop()
-            for arc in self._arcs[cur]:
-                if arc.residual > _EPS and arc.head not in seen:
-                    seen.add(arc.head)
-                    stack.append(arc.head)
-        return frozenset(self._labels[i] for i in seen)
+    def __repr__(self) -> str:
+        return f"FlowResult(value={self.value!r}, source_side={set(self.source_side)!r})"
 
 
-def max_flow(
-    graph: DiGraph, source: Node, sink: Node, engine: str = "csr"
-) -> FlowResult:
+def max_flow(graph: DiGraph, source: Node, sink: Node) -> FlowResult:
     """Max flow from ``source`` to ``sink`` in a weighted digraph.
 
     Edge weights are used as capacities.  The returned
     :attr:`FlowResult.source_side` certifies a minimum s-t cut of the
-    same value (max-flow/min-cut duality, asserted in tests).
-
-    ``engine="csr"`` (default) runs the integer-indexed Dinic fast path
-    on the graph's cached CSR snapshot — residual arc arrays are built
-    straight from the snapshot's flat edge arrays, with no per-call
-    neighbor-dict copies, and the snapshot itself is reused across the
-    repeated flow calls of min-cut / connectivity certification.
-    ``engine="dict"`` is the original object-graph Dinic, kept as the
-    reference implementation.
+    same value (max-flow/min-cut duality, asserted in tests).  The flow
+    runs on the graph's cached CSR snapshot, whose residual network is
+    reused across the repeated flow calls of min-cut / connectivity
+    certification.
     """
     if not graph.has_node(source) or not graph.has_node(sink):
         raise GraphError("source and sink must be nodes of the graph")
     if _OBS.enabled:
-        _obs_count(f"maxflow.calls.{engine}")
-    if engine == "csr":
-        csr = graph.freeze()
-        result = csr.max_flow(csr.index_of(source), csr.index_of(sink))
-        labels = csr.labels
-        tails = csr.tails
-        heads = csr.heads
-        flows = {
-            (labels[tails[e]], labels[heads[e]]): result.edge_flows[e]
-            for e in range(csr.num_edges)
-        }
-        return FlowResult(
-            value=result.value,
-            source_side=frozenset(labels[i] for i in result.source_side),
-            edge_flows=flows,
-        )
-    if engine != "dict":
-        raise GraphError(f"unknown max-flow engine {engine!r}")
-    solver = DinicMaxFlow()
-    # Register every node so isolated sources/sinks still resolve.
-    for node in graph.nodes():
-        solver._node_id(node)
-    handles: Dict[Tuple[Node, Node], Tuple[int, int]] = {}
-    for u, v, w in graph.edges():
-        handles[(u, v)] = solver.add_arc(u, v, w)
-    value = solver.solve(source, sink)
-    flows = {
-        edge: max(0.0, solver._arcs[ui][ai].flow)
-        for edge, (ui, ai) in handles.items()
-    }
+        _obs_count("maxflow.calls.csr")
+    csr = graph.freeze()
+    result = csr.max_flow(csr.index_of(source), csr.index_of(sink))
+    labels = csr.labels
     return FlowResult(
-        value=value,
-        source_side=solver.reachable_from(source),
-        edge_flows=flows,
+        value=result.value,
+        source_side=frozenset(labels[i] for i in result.source_side),
+        csr=csr,
+        flows=result.edge_flows,
     )
 
 
 def max_flow_undirected(graph: UGraph, source: Node, sink: Node) -> FlowResult:
-    """Max flow in an undirected graph (each edge usable in either direction)."""
-    directed = DiGraph(nodes=graph.nodes())
-    for u, v, w in graph.edges():
-        directed.add_edge(u, v, w)
-        directed.add_edge(v, u, w)
-    return max_flow(directed, source, sink)
+    """Max flow in an undirected graph (each edge usable in either direction).
+
+    Runs straight on ``graph.freeze()``: that snapshot already stores
+    each edge once per direction, so no doubled digraph is built and the
+    ``n - 1`` calls of a Gomory–Hu sweep share one residual network.
+    """
+    return max_flow(graph, source, sink)
 
 
 def min_st_cut(graph: DiGraph, source: Node, sink: Node) -> Tuple[float, FrozenSet[Node]]:

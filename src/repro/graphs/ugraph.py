@@ -16,7 +16,6 @@ from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
     ItemsView,
@@ -135,13 +134,14 @@ class UGraph:
 
     def edges(self) -> Iterator[WeightedEdge]:
         """Iterate each undirected edge once as ``(u, v, weight)``."""
-        seen: Set[FrozenSet[Node]] = set()
+        # An edge is yielded at whichever endpoint comes first in node
+        # order: once a node is done, its edges are all out.
+        done: Set[Node] = set()
         for u, nbrs in self._adj.items():
             for v, w in nbrs.items():
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
+                if v not in done:
                     yield (u, v, w)
+            done.add(u)
 
     def neighbors(self, node: Node) -> Dict[Node, float]:
         """Neighbors of ``node`` mapped to edge weights (a copy)."""
@@ -221,8 +221,16 @@ class UGraph:
         return total
 
     def copy(self) -> "UGraph":
-        """Deep copy."""
-        return UGraph(self.nodes(), self.edges())
+        """Deep copy: same nodes, edges, weights and neighbour order.
+
+        Copies the adjacency dicts directly; every edge was validated
+        when it entered this graph, so none goes through :meth:`add_edge`
+        again.
+        """
+        out = UGraph()
+        out._adj = {node: dict(nbrs) for node, nbrs in self._adj.items()}
+        out._num_edges = self._num_edges
+        return out
 
     def subgraph(self, keep: AbstractSet[Node]) -> "UGraph":
         """Induced subgraph on ``keep``."""

@@ -30,6 +30,9 @@ from repro.obs.metrics import Counter, MetricsRegistry
 #: The three query types of the Section 5 model, in namespace order.
 QUERY_KINDS = ("degree", "neighbor", "pair")
 
+#: Query kind -> its ``oracle.query.<kind>`` counter name.
+_METRIC_NAMES = {kind: f"oracle.query.{kind}" for kind in QUERY_KINDS}
+
 
 class QueryCounter:
     """Per-type and total query tallies, backed by obs counters.
@@ -53,8 +56,8 @@ class QueryCounter:
     ):
         self.registry = MetricsRegistry()
         self._by_kind: Dict[str, Counter] = {
-            kind: self.registry.counter(f"oracle.query.{kind}")
-            for kind in QUERY_KINDS
+            kind: self.registry.counter(name)
+            for kind, name in _METRIC_NAMES.items()
         }
         self._by_kind["degree"].inc(degree_queries)
         self._by_kind["neighbor"].inc(neighbor_queries)
@@ -71,7 +74,7 @@ class QueryCounter:
             raise OracleError(f"unknown query kind {kind!r}")
         counter.inc()
         if _OBS.enabled:
-            _obs_count(f"oracle.query.{kind}")
+            _obs_count(_METRIC_NAMES[kind])
 
     @property
     def degree_queries(self) -> int:

@@ -7,8 +7,8 @@ zero-weight edges and non-contiguous, mixed hashable labels) and check
 
 * ``cut_weights`` / ``cut_weights_both`` vs ``DiGraph.cut_weight``;
 * ``weights_between`` vs ``DiGraph.directed_weight_between``;
-* CSR integer-indexed Dinic vs the dict-path Dinic (value equality and
-  min-cut duality);
+* CSR integer-indexed Dinic, on digraph and undirected snapshots, vs
+  brute-force s-t cut enumeration (value equality and min-cut duality);
 * degree/weight vectors vs per-node dict sums;
 * the UGraph freeze path;
 * freeze/total_weight cache invalidation across mutations.
@@ -23,7 +23,7 @@ from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph, batched_cut_weights
 from repro.graphs.cuts import all_directed_cut_values, enumerate_cut_sides
 from repro.graphs.digraph import DiGraph
-from repro.graphs.maxflow import DinicMaxFlow, max_flow
+from repro.graphs.maxflow import max_flow, max_flow_undirected
 from repro.graphs.ugraph import UGraph
 
 # Non-contiguous mixed hashable labels: ints with gaps, strings, tuples.
@@ -172,24 +172,39 @@ class TestDirectedKernels:
             assert float(value) == pytest.approx(g.cut_weight(side))
 
 
+def _assert_min_st_cut(graph, result, source, sink):
+    """Flow value and residual side both attain the brute-force min s-t cut."""
+    best = min(
+        graph.cut_weight(side)
+        for side in enumerate_cut_sides(graph.nodes(), pinned=source)
+        if sink not in side
+    )
+    assert result.value == pytest.approx(best, abs=1e-9)
+    # Min-cut duality: the residual-reachable side separates the
+    # terminals and is itself a minimum s-t cut.
+    side = result.source_side
+    assert source in side and sink not in side
+    assert graph.cut_weight(side) == pytest.approx(best, abs=1e-9)
+
+
 class TestMaxFlowEquivalence:
-    @given(random_digraphs(min_nodes=2, max_nodes=7), st.data())
+    @given(random_digraphs(min_nodes=2, max_nodes=8), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_csr_flow_matches_dict_dinic(self, g, data):
+    def test_csr_flow_matches_brute_force_cut(self, g, data):
         labels = g.nodes()
         source = data.draw(st.sampled_from(labels))
         sink = data.draw(
             st.sampled_from([v for v in labels if v != source])
         )
-        csr_result = max_flow(g, source, sink, engine="csr")
-        dict_result = max_flow(g, source, sink, engine="dict")
-        assert csr_result.value == pytest.approx(dict_result.value)
-        # Min-cut duality: the reported source side is a cut whose dict
-        # weight equals the flow value (or the trivial full-vertex set
-        # when the sink is unreachable).
-        side = csr_result.source_side
-        if sink not in side and len(side) < g.num_nodes:
-            assert g.cut_weight(side) == pytest.approx(csr_result.value)
+        _assert_min_st_cut(g, max_flow(g, source, sink), source, sink)
+
+    @given(random_ugraphs(min_nodes=2, max_nodes=8), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_undirected_snapshot_flow_matches_brute_force_cut(self, g, data):
+        labels = g.nodes()
+        source = data.draw(st.sampled_from(labels))
+        sink = data.draw(st.sampled_from([v for v in labels if v != source]))
+        _assert_min_st_cut(g, max_flow_undirected(g, source, sink), source, sink)
 
     @given(random_digraphs(min_nodes=2, max_nodes=7), st.data())
     @settings(max_examples=30, deadline=None)
@@ -197,7 +212,7 @@ class TestMaxFlowEquivalence:
         labels = g.nodes()
         source = data.draw(st.sampled_from(labels))
         sink = data.draw(st.sampled_from([v for v in labels if v != source]))
-        result = max_flow(g, source, sink, engine="csr")
+        result = max_flow(g, source, sink)
         net = {v: 0.0 for v in labels}
         for (u, v), f in result.edge_flows.items():
             assert -1e-9 <= f <= g.weight(u, v) + 1e-9

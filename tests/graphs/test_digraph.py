@@ -178,6 +178,36 @@ class TestDerivedGraphs:
         clone.remove_edge("a", "b")
         assert triangle.has_edge("a", "b")
 
+    def test_copy_keeps_nodes_edges_weights_and_order(self):
+        # Predecessor order at "b" differs from tail order, so a copy
+        # rebuilt edge by edge would reorder it.
+        g = DiGraph(nodes=["a", "c", "b", "lonely"])
+        g.add_edge("c", "b", 2.0)
+        g.add_edge("a", "b", 0.5)
+        g.add_edge("a", "c", 1.5)
+        g.add_edge("b", "a", 3.0)
+        clone = g.copy()
+        assert clone.nodes() == g.nodes()
+        assert list(clone.edges()) == list(g.edges())
+        assert clone.num_edges == g.num_edges
+        for node in g.nodes():
+            assert list(clone.iter_successors(node)) == list(g.iter_successors(node))
+            assert list(clone.iter_predecessors(node)) == list(g.iter_predecessors(node))
+        assert clone.total_weight() == g.total_weight()
+
+    def test_copy_does_not_share_adjacency(self, triangle):
+        snapshot = triangle.freeze()
+        clone = triangle.copy()
+        clone.add_edge("a", "c", 9.0)
+        clone.add_node("d")
+        assert not triangle.has_edge("a", "c")
+        assert triangle.predecessors("c") == {"b": 2.0}
+        assert not triangle.has_node("d")
+        assert triangle.freeze() is snapshot
+        triangle.add_edge("b", "a", 1.0)
+        assert not clone.has_edge("b", "a")
+        assert clone.num_edges == 4 and triangle.num_edges == 4
+
     def test_reverse(self, triangle):
         rev = triangle.reverse()
         assert rev.has_edge("b", "a")

@@ -45,6 +45,32 @@ class TestGomoryHuTree:
         tree = gomory_hu_tree(g)
         assert tree.global_min_cut_value() == pytest.approx(stoer_wagner(g)[0])
 
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_pairwise_min_cuts_match_tree_paths(self, n, seed):
+        g = random_connected_ugraph(
+            n, extra_edge_prob=0.4, rng=seed, weight_range=(0.5, 4.0)
+        )
+        tree = gomory_hu_tree(g)
+        cuts = tree.pairwise_min_cuts()
+        nodes = g.nodes()
+        assert set(cuts) == set(nodes)
+        for u in nodes:
+            assert set(cuts[u]) == set(nodes) - {u}
+            for v in cuts[u]:
+                assert cuts[u][v] == tree.min_cut_value(u, v) == cuts[v][u]
+
+    def test_disconnected_graph_gets_zero_weight_tree_edges(self):
+        g = UGraph(edges=[("a", "b", 2.0), ("b", "c", 3.0), ("x", "y", 1.0)])
+        g.add_node("lonely")
+        cuts = gomory_hu_tree(g).pairwise_min_cuts()
+        for u in g.nodes():
+            for v in g.nodes():
+                if u != v:
+                    assert cuts[u][v] == max_flow_undirected(g, u, v).value
+        assert cuts["a"]["c"] == 2.0 and cuts["a"]["x"] == 0.0
+        assert cuts["lonely"]["y"] == 0.0
+
     def test_same_node_raises(self):
         g = UGraph(edges=[("a", "b", 1.0)])
         tree = gomory_hu_tree(g)

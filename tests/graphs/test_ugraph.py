@@ -107,6 +107,37 @@ class TestCuts:
             square.cut_weight({"a", "b", "c", "d"})
 
 
+class TestCopy:
+    def test_copy_keeps_nodes_edges_weights_and_order(self):
+        # Neighbour order differs from edge-insertion order at "b", so a
+        # copy rebuilt edge by edge would reorder it.
+        g = UGraph(nodes=["a", "c", "b", "lonely"])
+        g.add_edge("a", "c", 1.5)
+        g.add_edge("b", "c", 2.0)
+        g.add_edge("a", "b", 0.25)
+        clone = g.copy()
+        assert clone.nodes() == g.nodes()
+        assert list(clone.edges()) == list(g.edges())
+        assert clone.num_edges == g.num_edges
+        for node in g.nodes():
+            assert list(clone.iter_neighbors(node)) == list(g.iter_neighbors(node))
+        assert clone.total_weight() == g.total_weight()
+
+    def test_copy_is_independent(self, square):
+        snapshot = square.freeze()
+        clone = square.copy()
+        clone.remove_edge("a", "b")
+        clone.add_edge("a", "c", 5.0)
+        clone.add_node("e")
+        assert square.has_edge("a", "b") and not square.has_edge("a", "c")
+        assert not square.has_node("e")
+        assert square.num_edges == 4
+        assert square.freeze() is snapshot
+        square.add_edge("b", "d", 1.0)
+        assert not clone.has_edge("b", "d")
+        assert clone.freeze().num_edges == 2 * clone.num_edges
+
+
 class TestContraction:
     def test_contract_merges_and_sums(self):
         g = UGraph(edges=[("a", "b", 1.0), ("a", "c", 2.0), ("b", "c", 4.0)])

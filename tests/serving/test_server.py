@@ -15,7 +15,12 @@ from repro.graphs.ugraph import UGraph
 from repro.obs import capture as obs_capture
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.protocol import ServingError
-from repro.serving.server import MIN_CUT_NODE_LIMIT, ServerThread
+from repro.serving import server as server_mod
+from repro.serving.server import (
+    DIRECTED_MIN_CUT_NODE_LIMIT,
+    MIN_CUT_NODE_LIMIT,
+    ServerThread,
+)
 
 
 def _graph(rng=1, n=48):
@@ -159,6 +164,32 @@ class TestErrors:
                 assert client.cut_weight(oid, side) == _direct_values(
                     small, [side]
                 )[0]
+
+    def test_directed_min_cut_over_the_node_limit_is_refused(self, monkeypatch):
+        solved = []
+
+        def recording_min_cut(graph):
+            solved.append(graph.num_nodes)
+            return directed_global_min_cut(graph)
+
+        monkeypatch.setattr(server_mod, "directed_global_min_cut", recording_min_cut)
+        n = DIRECTED_MIN_CUT_NODE_LIMIT + 1
+        ring = DiGraph(edges=[(i, (i + 1) % n, 1.0) for i in range(n)])
+        small = DiGraph(edges=[("a", "b", 2.0), ("b", "c", 1.0), ("c", "a", 3.0)])
+        with ServerThread() as thread:
+            with ServingClient("127.0.0.1", thread.port) as client:
+                big_oid = client.register_graph(ring)
+                oid = client.register_graph(small)
+                with pytest.raises(ServingError, match="node limit"):
+                    client.min_cut(big_oid)
+                assert solved == []  # refused before any flow ran
+                # Same connection still serves, at the limit too.
+                assert client.min_cut(oid)["value"] == 1.0
+                ring_at_limit = DiGraph(
+                    edges=[(i, (i + 1) % (n - 1), 1.0) for i in range(n - 1)]
+                )
+                assert client.min_cut(client.register_graph(ring_at_limit))["value"] == 1.0
+                assert solved == [3, n - 1]
 
 
 def _serve_concurrently(port, graph, sides, clients=3):

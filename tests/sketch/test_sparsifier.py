@@ -21,8 +21,10 @@ from repro.graphs.generators import (
 from repro.graphs.ugraph import UGraph
 from repro.sketch.base import SketchModel
 from repro.sketch.directed import BalancedDigraphSparsifier
+from repro.graphs.maxflow import max_flow_undirected
 from repro.sketch.sparsifier import (
     SparsifierSketch,
+    _edge_connectivity_lower_bounds,
     importance_sparsify,
     uniform_sparsify,
 )
@@ -95,6 +97,75 @@ class TestImportanceSparsify:
             importance_sparsify(g, epsilon=0.0)
         with pytest.raises(ParameterError):
             importance_sparsify(g, epsilon=0.5, connectivity="bogus")
+
+
+@st.composite
+def weighted_ugraphs(draw, integer: bool):
+    """Random undirected graphs on shuffled labels, possibly disconnected."""
+    n = draw(st.integers(2, 9))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)] + [i * 7 for i in range(n)]))[:n]
+    weight = (
+        st.integers(1, 9).map(float)
+        if integer
+        else st.floats(0.05, 20.0, allow_nan=False, allow_infinity=False)
+    )
+    g = UGraph(nodes=labels)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                g.add_edge(labels[i], labels[j], draw(weight))
+    return g
+
+
+class TestExactConnectivity:
+    """``connectivity="exact"`` reads lambda_e off one Gomory–Hu tree."""
+
+    @given(weighted_ugraphs(integer=True))
+    @settings(max_examples=60, deadline=None)
+    def test_tree_values_equal_per_edge_flows_on_integer_weights(self, g):
+        lambdas = _edge_connectivity_lower_bounds(g, "exact")
+        assert len(lambdas) == g.num_edges
+        for u, v, _ in g.edges():
+            assert lambdas[(u, v)] == max_flow_undirected(g, u, v).value
+
+    @given(weighted_ugraphs(integer=False))
+    @settings(max_examples=60, deadline=None)
+    def test_tree_values_match_per_edge_flows_on_fractional_weights(self, g):
+        """Within relative 1e-9: a tree value is the min of other pairs'
+        flow values, whose float sums may round differently in the last
+        few ulps from the per-edge flow."""
+        lambdas = _edge_connectivity_lower_bounds(g, "exact")
+        for u, v, _ in g.edges():
+            expected = max_flow_undirected(g, u, v).value
+            assert lambdas[(u, v)] == pytest.approx(expected, rel=1e-9)
+
+    def test_no_edges_needs_no_tree(self):
+        assert _edge_connectivity_lower_bounds(UGraph(nodes=["a"]), "exact") == {}
+
+    def test_disconnected_input_rejected(self):
+        # Two triangles joined by a weight-0 edge: that edge's endpoints
+        # have connectivity 0, so importance sampling cannot price it.
+        g = UGraph()
+        for a, b in (("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"), ("z", "x")):
+            g.add_edge(a, b, 1.0)
+        g.add_edge("c", "x", 0.0)
+        with pytest.raises(SketchError):
+            importance_sparsify(g, epsilon=0.5, rng=1, connectivity="exact")
+        with pytest.raises(SketchError):
+            SparsifierSketch.from_undirected(g, epsilon=0.5, rng=1)
+
+    def test_k16_sketch_runs_n_minus_1_flows(self):
+        from repro import obs
+        from repro.obs.sink import ListSink
+
+        obs.reset_metrics()
+        try:
+            with obs.enabled(ListSink()):
+                SparsifierSketch.from_undirected(dense_ugraph(16, None), epsilon=0.5, rng=2)
+            snap = obs.snapshot()
+        finally:
+            obs.reset_metrics()
+        assert snap["csr.maxflow.calls"] == 15
 
 
 class TestSparsifierSketch:
